@@ -48,20 +48,7 @@ print("\nvector residue at s = 2 (carries A^-1 b):")
 a = np.array([[2.0, 1.0], [1.0, 3.0]])
 bvec = np.array([5.0, 10.0])
 analytic = np.asarray(residue_vector(a, bvec).residue)
-cache = {}
-
-
-def component(j):
-    def ev(s):
-        vals = cache.get(s)
-        if vals is None:
-            vals = vector_zeta(a, bvec, s)
-            cache[s] = vals
-        return vals[j].value
-    return ev
-
-
-contour = np.array([residue_numeric(component(j), 2.0).residue.real for j in range(2)])
+contour = residue_numeric(lambda s: vector_zeta(a, bvec, s), 2.0).residue.real
 print(f"  closed form  {analytic}")
 print(f"  contour      {contour}")
 print(f"  note: analytic residue is proportional to (A^T)^-1 b")

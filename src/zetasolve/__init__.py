@@ -80,10 +80,9 @@ from .theta import (
     theta_star_weighted,
     theta_transform_residual,
 )
-from .verify import run_default_suite, run_user_cases
+from .verify import run_default_suite
 from .zeta import (
     FuncEqResidual,
-    GammaFactorSpec,
     PoleReport,
     ZetaValue,
     epstein_continued,

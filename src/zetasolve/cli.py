@@ -23,8 +23,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -53,8 +56,9 @@ from .solver import (
 )
 from .spherequad import QuadratureSpec
 from .theta import theta_star_gaussian, theta_star_weighted
-from .verify import run_default_suite, run_user_cases
+from .verify import run_default_suite
 from .zeta import (
+    PoleReport,
     epstein_continued,
     funceq_residual_lattice,
     funceq_residual_vector,
@@ -115,15 +119,37 @@ def _check_keys(data: dict, allowed: set[str], command: str) -> None:
         raise ValidationError(f"unknown fields for {command}: {sorted(unknown)}")
 
 
+def _field(data: dict, key: str, command: str):
+    if key not in data:
+        raise ValidationError(f"{command} needs '{key}'")
+    return data[key]
+
+
+def _number(obj, what: str) -> float:
+    """A finite JSON number as a float (booleans are not numbers)."""
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        try:
+            x = float(obj)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValidationError(f"{what} must be a finite number, got {obj!r}")
+
+
+def _count(obj, what: str) -> int:
+    if isinstance(obj, bool) or not isinstance(obj, int) or obj < 1:
+        raise ValidationError(f"{what} must be a positive integer, got {obj!r}")
+    return obj
+
+
 def _parse_s(obj) -> complex:
-    if isinstance(obj, bool):
-        raise ValidationError("s must be a number or {re, im}")
-    if isinstance(obj, (int, float)):
-        return complex(float(obj), 0.0)
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        return complex(_number(obj, "s"), 0.0)
     if isinstance(obj, list) and len(obj) == 2:
-        return complex(float(obj[0]), float(obj[1]))
+        return complex(_number(obj[0], "re s"), _number(obj[1], "im s"))
     if isinstance(obj, dict) and set(obj) <= {"re", "im"} and "re" in obj:
-        return complex(float(obj["re"]), float(obj.get("im", 0.0)))
+        return complex(_number(obj["re"], "re s"), _number(obj.get("im", 0.0), "im s"))
     raise ValidationError(f"cannot parse s value: {obj!r}")
 
 
@@ -138,13 +164,72 @@ def _s_points(data: dict) -> list[complex]:
 
 
 def _parse_tolerance(data: dict, default: float) -> float:
-    tol = data.get("tolerance", default)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
-        raise ValidationError("tolerance must be a number")
-    tol = float(tol)
+    tol = _number(data.get("tolerance", default), "tolerance")
     if not 1e-14 <= tol <= 1e-2:
         raise ValidationError(f"tolerance must lie in [1e-14, 1e-2], got {tol}")
     return tol
+
+
+@dataclass(frozen=True)
+class _Family:
+    """A zeta family bound to its operands."""
+
+    name: str                        # "epstein", "weighted" or "vector"
+    evaluate: Callable               # s -> ZetaValue (vector: list of ZetaValue)
+    pole: float
+    residue: Callable[[], PoleReport]  # closed-form residue at the pole
+
+
+def _zeta_family(data: dict, command: str) -> _Family:
+    """The family named by the operands: ``A, b`` for the vector zeta, else
+    ``Q`` with an optional weight ``B`` and an optional ``lattice``."""
+    if "A" in data:
+        if data.keys() & {"Q", "B", "lattice"}:
+            raise ValidationError("vector zeta takes A and b only")
+        a = matrix_from_json(data["A"])
+        b = vector_from_json(_field(data, "b", command))
+        return _Family("vector", lambda s: vector_zeta(a, b, s),
+                       a.shape[0] / 2.0 + 1.0, lambda: residue_vector(a, b))
+    q = matrix_from_json(_field(data, "Q", command))
+    n = q.shape[0]
+    lat = Lattice(matrix_from_json(data["lattice"])) if "lattice" in data else None
+    res_lat = lat if lat is not None else Lattice(np.eye(n))
+    if "B" in data:
+        bmat = matrix_from_json(data["B"])
+        if lat is None:
+            evaluate = lambda s: weighted_continued(q, bmat, s)  # noqa: E731
+        else:
+            evaluate = lambda s: lattice_weighted_zeta(lat, q, bmat, s)  # noqa: E731
+        return _Family("weighted", evaluate, n / 2.0 + 1.0,
+                       lambda: residue_weighted(res_lat, q, bmat))
+    if lat is None:
+        evaluate = lambda s: epstein_continued(q, s)  # noqa: E731
+    else:
+        evaluate = lambda s: lattice_zeta(lat, q, s)  # noqa: E731
+    return _Family("epstein", evaluate, n / 2.0, lambda: residue_epstein(res_lat, q))
+
+
+_FUNCEQ_FIELDS = {"family", "Q", "B", "lattice", "A", "b", "c", "s", "s_list"}
+
+
+def _funceq_request(data: dict, command: str):
+    """Parse a functional-equation request; returns (family, residual fn, points)."""
+    family = data.get("family")
+    if family not in ("lattice", "weighted", "vector"):
+        raise ValidationError("family must be one of lattice / weighted / vector")
+    points = _s_points(data)
+    if family == "vector":
+        a = matrix_from_json(_field(data, "A", command))
+        b = vector_from_json(_field(data, "b", command))
+        c = vector_from_json(_field(data, "c", command))
+        return family, lambda s: funceq_residual_vector(a, b, c, s), points
+    q = matrix_from_json(_field(data, "Q", command))
+    lat = (Lattice(matrix_from_json(data["lattice"]))
+           if "lattice" in data else Lattice(np.eye(q.shape[0])))
+    if family == "weighted":
+        bmat = matrix_from_json(_field(data, "B", command))
+        return family, lambda s: funceq_residual_weighted(lat, q, bmat, s), points
+    return family, lambda s: funceq_residual_lattice(lat, q, s), points
 
 
 def _parse_quadrature(obj, n: int, seed_override: int | None) -> QuadratureSpec:
@@ -198,42 +283,18 @@ def _cmd_zeta(args) -> int:
     _check_keys(data, {"Q", "B", "lattice", "A", "b", "s", "s_list", "tolerance"},
                 "zeta")
     points = _s_points(data)
+    family = _zeta_family(data, "zeta")
     records = []
-    if "A" in data:
-        if "Q" in data or "B" in data or "lattice" in data:
-            raise ValidationError("vector zeta takes A and b only")
-        if "b" not in data:
-            raise ValidationError("vector zeta needs 'b'")
-        a = matrix_from_json(data["A"])
-        b = vector_from_json(data["b"])
-        for s in points:
-            vals = vector_zeta(a, b, s)
-            for j, zv in enumerate(vals):
-                records.append({
-                    "s": [s.real, s.imag], "component": j + 1,
-                    "value_re": zv.value.real, "value_im": zv.value.imag,
-                    "abs_error": zv.abs_error,
-                })
-    else:
-        if "Q" not in data:
-            raise ValidationError("zeta needs 'Q' (or 'A' and 'b')")
-        q = matrix_from_json(data["Q"])
-        bmat = matrix_from_json(data["B"]) if "B" in data else None
-        lat = Lattice(matrix_from_json(data["lattice"])) if "lattice" in data else None
-        for s in points:
-            if bmat is not None and lat is not None:
-                zv = lattice_weighted_zeta(lat, q, bmat, s)
-            elif bmat is not None:
-                zv = weighted_continued(q, bmat, s)
-            elif lat is not None:
-                zv = lattice_zeta(lat, q, s)
-            else:
-                zv = epstein_continued(q, s)
-            records.append({
-                "s": [s.real, s.imag],
-                "value_re": zv.value.real, "value_im": zv.value.imag,
-                "abs_error": zv.abs_error,
-            })
+    for s in points:
+        got = family.evaluate(s)
+        vector = isinstance(got, list)
+        for j, zv in enumerate(got if vector else [got]):
+            rec = {"s": [s.real, s.imag]}
+            if vector:
+                rec["component"] = j + 1
+            rec.update(value_re=zv.value.real, value_im=zv.value.imag,
+                       abs_error=zv.abs_error)
+            records.append(rec)
     _emit_records(records, args.format, sys.stdout)
     return _EXIT_OK
 
@@ -241,19 +302,17 @@ def _cmd_zeta(args) -> int:
 def _cmd_theta(args) -> int:
     data = _load_input(args.input)
     _check_keys(data, {"Q", "B", "t", "t_list", "tol"}, "theta")
-    if "Q" not in data:
-        raise ValidationError("theta needs 'Q'")
-    q = matrix_from_json(data["Q"])
+    q = matrix_from_json(_field(data, "Q", "theta"))
     bmat = matrix_from_json(data["B"]) if "B" in data else None
     if ("t" in data) == ("t_list" in data):
         raise ValidationError("provide exactly one of 't' or 't_list'")
     ts = [data["t"]] if "t" in data else data["t_list"]
     if not isinstance(ts, list):
         ts = [ts]
-    tol = float(data.get("tol", 1e-12))
+    tol = _number(data.get("tol", 1e-12), "tol")
     records = []
     for t in ts:
-        t = float(t)
+        t = _number(t, "t")
         if bmat is None:
             value = theta_star_gaussian(q, t, tol)
         else:
@@ -263,95 +322,35 @@ def _cmd_theta(args) -> int:
     return _EXIT_OK
 
 
+def _residue_json(residue):
+    value = np.asarray(residue).real
+    return value.tolist() if value.ndim else float(value)
+
+
 def _cmd_residue(args) -> int:
     data = _load_input(args.input)
     _check_keys(data, {"Q", "B", "lattice", "A", "b", "numeric"}, "residue")
-    want_numeric = bool(data.get("numeric", True))
-    records = []
-    if "A" in data:
-        a = matrix_from_json(data["A"])
-        b = vector_from_json(data.get("b", {"v": [0.0] * a.shape[0]}))
-        rep = residue_vector(a, b)
-        records.append({
-            "family": "vector", "location": rep.location,
-            "residue": [float(v) for v in np.asarray(rep.residue).real],
-            "source": rep.source,
-        })
-        if want_numeric:
-            n = a.shape[0]
-            vals_cache: dict[complex, list] = {}
-
-            def comp(j):
-                def ev(s):
-                    got = vals_cache.get(s)
-                    if got is None:
-                        got = vector_zeta(a, b, s)
-                        vals_cache[s] = got
-                    return got[j].value
-                return ev
-
-            num = [residue_numeric(comp(j), n / 2.0 + 1.0).residue.real
-                   for j in range(n)]
-            records.append({"family": "vector", "location": n / 2.0 + 1.0,
-                            "residue": num, "source": "numeric"})
-    else:
-        if "Q" not in data:
-            raise ValidationError("residue needs 'Q' (or 'A')")
-        q = matrix_from_json(data["Q"])
-        n = q.shape[0]
-        lat = (Lattice(matrix_from_json(data["lattice"]))
-               if "lattice" in data else Lattice(np.eye(n)))
-        if "B" in data:
-            bmat = matrix_from_json(data["B"])
-            rep = residue_weighted(lat, q, bmat)
-            records.append({"family": "weighted", "location": rep.location,
-                            "residue": complex(rep.residue).real,
-                            "source": rep.source})
-            if want_numeric:
-                num = residue_numeric(
-                    lambda s: lattice_weighted_zeta(lat, q, bmat, s), rep.location
-                )
-                records.append({"family": "weighted", "location": rep.location,
-                                "residue": num.residue.real, "source": "numeric"})
-        else:
-            rep = residue_epstein(lat, q)
-            records.append({"family": "epstein", "location": rep.location,
-                            "residue": complex(rep.residue).real,
-                            "source": rep.source})
-            if want_numeric:
-                num = residue_numeric(
-                    lambda s: lattice_zeta(lat, q, s), rep.location
-                )
-                records.append({"family": "epstein", "location": rep.location,
-                                "residue": num.residue.real, "source": "numeric"})
+    want_numeric = data.get("numeric", True)
+    if not isinstance(want_numeric, bool):
+        raise ValidationError("numeric must be true or false")
+    family = _zeta_family(data, "residue")
+    reports = [family.residue()]
+    if want_numeric:
+        reports.append(residue_numeric(family.evaluate, family.pole))
+    records = [{"family": family.name, "location": family.pole,
+                "residue": _residue_json(rep.residue), "source": rep.source}
+               for rep in reports]
     _emit_records(records, args.format, sys.stdout)
     return _EXIT_OK
 
 
 def _cmd_funceq(args) -> int:
     data = _load_input(args.input)
-    _check_keys(data, {"family", "Q", "B", "lattice", "A", "b", "c", "s", "s_list"},
-                "funceq")
-    family = data.get("family")
-    if family not in ("lattice", "weighted", "vector"):
-        raise ValidationError("family must be one of lattice / weighted / vector")
-    points = _s_points(data)
+    _check_keys(data, _FUNCEQ_FIELDS, "funceq")
+    family, residual, points = _funceq_request(data, "funceq")
     records = []
     for s in points:
-        if family == "vector":
-            a = matrix_from_json(data["A"])
-            b = vector_from_json(data["b"])
-            c = vector_from_json(data["c"])
-            r = funceq_residual_vector(a, b, c, s)
-        else:
-            q = matrix_from_json(data["Q"])
-            lat = (Lattice(matrix_from_json(data["lattice"]))
-                   if "lattice" in data else Lattice(np.eye(q.shape[0])))
-            if family == "weighted":
-                bmat = matrix_from_json(data["B"])
-                r = funceq_residual_weighted(lat, q, bmat, s)
-            else:
-                r = funceq_residual_lattice(lat, q, s)
+        r = residual(s)
         records.append({
             "family": family, "s": [s.real, s.imag],
             "lhs_re": r.lhs.real, "lhs_im": r.lhs.imag,
@@ -391,14 +390,38 @@ def _cmd_solve(args) -> int:
     return _EXIT_OK
 
 
+def _user_cases(cases, override: float | None) -> list[tuple[str, float, float]]:
+    """Rows for user cases: each is a funceq request whose ``family`` is named
+    by ``check`` (funceq_lattice / funceq_weighted / funceq_vector), plus an
+    optional ``bound``; the row measures the worst residual over its points."""
+    if not isinstance(cases, list) or not cases:
+        raise ValidationError("cases must be a non-empty list")
+    parsed = []
+    for idx, case in enumerate(cases):
+        where = f"verify case {idx}"
+        if not isinstance(case, dict):
+            raise ValidationError(f"{where} must be an object")
+        _check_keys(case, _FUNCEQ_FIELDS - {"family"} | {"check", "bound"}, where)
+        check = _field(case, "check", where)
+        if check not in ("funceq_lattice", "funceq_weighted", "funceq_vector"):
+            raise ValidationError(f"unknown check kind {check!r}")
+        bound = _number(case.get("bound", 1e-8), f"{where} bound")
+        _, residual, points = _funceq_request(
+            dict(case, family=check.removeprefix("funceq_")), where)
+        parsed.append((f"{check}[{idx}]", residual, points,
+                       bound if override is None else override))
+    return [(name, max(float(residual(s).residual) for s in points), bound)
+            for name, residual, points, bound in parsed]
+
+
 def _cmd_verify(args) -> int:
     data = _load_input(args.input) if args.input else {}
     _check_keys(data, {"tolerance", "cases"}, "verify")
     override = None
     if "tolerance" in data:
-        override = float(data["tolerance"])
+        override = _number(data["tolerance"], "tolerance")
     if "cases" in data:
-        rows = run_user_cases(data["cases"], override)
+        rows = _user_cases(data["cases"], override)
     else:
         rows = run_default_suite(override)
     records = [{
@@ -416,9 +439,7 @@ def _cmd_verify(args) -> int:
 def _cmd_bench(args) -> int:
     data = _load_input(args.input) if args.input else {}
     _check_keys(data, {"repeat"}, "bench")
-    repeat = int(data.get("repeat", 3))
-    if repeat < 1:
-        raise ValidationError("repeat must be >= 1")
+    repeat = _count(data.get("repeat", 3), "repeat")
     eye2 = np.eye(2)
     a3 = np.array([[3.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 5.0]])
     b3 = np.array([1.0, 2.0, 3.0])
@@ -446,25 +467,10 @@ def _cmd_bench(args) -> int:
 def _cmd_scan(args) -> int:
     data = _load_input(args.input)
     _check_keys(data, {"Q", "B", "lattice", "s_start", "s_end", "steps"}, "scan")
-    if "Q" not in data or "s_start" not in data or "s_end" not in data:
-        raise ValidationError("scan needs 'Q', 's_start', 's_end'")
-    q = matrix_from_json(data["Q"])
-    bmat = matrix_from_json(data["B"]) if "B" in data else None
-    lat = Lattice(matrix_from_json(data["lattice"])) if "lattice" in data else None
-    start = _parse_s(data["s_start"])
-    end = _parse_s(data["s_end"])
-    steps = data.get("steps", 2)
-    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
-        raise ValidationError("steps must be a positive integer")
-
-    def evaluate(s):
-        if bmat is not None and lat is not None:
-            return lattice_weighted_zeta(lat, q, bmat, s)
-        if bmat is not None:
-            return weighted_continued(q, bmat, s)
-        if lat is not None:
-            return lattice_zeta(lat, q, s)
-        return epstein_continued(q, s)
+    family = _zeta_family(data, "scan")
+    start = _parse_s(_field(data, "s_start", "scan"))
+    end = _parse_s(_field(data, "s_end", "scan"))
+    steps = _count(data.get("steps", 2), "steps")
 
     out = sys.stdout
     out.write("re_s,im_s,re_zeta,im_zeta,abs_err,flag\n")
@@ -472,7 +478,7 @@ def _cmd_scan(args) -> int:
         frac = k / (steps - 1) if steps > 1 else 0.0
         s = start + frac * (end - start)
         try:
-            zv = evaluate(s)
+            zv = family.evaluate(s)
         except _POLE_ERRORS:
             out.write(f"{_fmt(s.real)},{_fmt(s.imag)},,,,1\n")
             continue

@@ -9,8 +9,12 @@ Conventions used throughout the package:
 * a *lattice* is ``A . Z^n`` for an invertible generator ``A``; its volume is
   ``|det A|`` and its dual is generated by ``(A^T)^{-1}``.
 
-All values are immutable after construction and every operation is a pure
-function, so everything here is safe to share across threads.
+Arrays are read-only after construction and the functions here are pure,
+but the package is not thread-safe: an ``SPDForm`` fills ``_min_eig``,
+``_inverse_form`` and its enumeration cache ``_enum_cache`` lazily on first
+use, and :mod:`zetasolve.zeta` keeps a module-level dict of forms
+(``_SPD_CACHE``).  Neither is locked, so share forms between threads only
+behind a lock of the caller's own.
 """
 
 from __future__ import annotations

@@ -46,7 +46,6 @@ from .quadforms import (
     as_square,
     as_vector,
     gram_transform,
-    matrix_to_json,
     vector_to_json,
 )
 from .spherequad import (
@@ -311,21 +310,9 @@ def numeric_residue_solve(A, b, rho: float = RESIDUE_RHO,
     if r_hat <= 0.0:
         raise DegenerateQuadrature("nonpositive residue estimate")
 
-    vz_cache: dict[complex, list] = {}
-
-    def component(j):
-        def evaluator(s):
-            vals = vz_cache.get(s)
-            if vals is None:
-                vals = vector_zeta(a.T, bv, s / 2.0)
-                vz_cache[s] = vals
-            return vals[j].value
-        return evaluator
-
-    ri_hat = np.array([
-        residue_numeric(component(j), float(n + 2), rho, m).residue.real
-        for j in range(n)
-    ])
+    ri_hat = residue_numeric(
+        lambda s: vector_zeta(a.T, bv, s / 2.0), float(n + 2), rho, m
+    ).residue.real
     r_value = 2.0 * r_hat
     ri_value = 2.0 * n * ri_hat
     x = ri_value / r_value
@@ -339,6 +326,3 @@ def numeric_residue_solve(A, b, rho: float = RESIDUE_RHO,
         condition_estimate=_condition_1norm(a),
     )
 
-
-def system_to_json(system: LinearSystem) -> dict:
-    return {"A": matrix_to_json(system.A), "b": vector_to_json(system.b)}

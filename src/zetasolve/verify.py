@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .quadforms import Lattice, matrix_from_json, sym_outer, vector_from_json
+from .quadforms import Lattice, sym_outer
 from .solver import (
     numeric_residue_solve,
     solve_via_integrals,
@@ -117,18 +117,7 @@ def _residue_vector_numeric() -> float:
     a = np.diag([2.0, 3.0])
     b = np.array([2.0, 3.0])
     analytic = np.asarray(residue_vector(a, b).residue)
-    cache: dict[complex, list] = {}
-
-    def comp(j):
-        def ev(s):
-            vals = cache.get(s)
-            if vals is None:
-                vals = vector_zeta(a, b, s)
-                cache[s] = vals
-            return vals[j].value
-        return ev
-
-    numeric = np.array([residue_numeric(comp(j), 2.0).residue for j in range(2)])
+    numeric = residue_numeric(lambda s: vector_zeta(a, b, s), 2.0).residue
     return float(np.max(np.abs(numeric - analytic)))
 
 
@@ -281,45 +270,3 @@ def run_default_suite(override: float | None = None) -> list[Row]:
         rows.append((name, measured, float(override) if override is not None else bound))
     return rows
 
-
-def run_user_cases(cases, override: float | None = None) -> list[Row]:
-    """Run user-supplied functional-equation cases.
-
-    Each case is an object with ``check`` in {funceq_lattice, funceq_weighted,
-    funceq_vector}, the matching operands, ``s``, and an optional ``bound``.
-    """
-    from .errors import ValidationError  # local import to avoid cycle noise
-
-    if not isinstance(cases, list) or not cases:
-        raise ValidationError("cases must be a non-empty list")
-    rows: list[Row] = []
-    for idx, case in enumerate(cases):
-        if not isinstance(case, dict) or "check" not in case:
-            raise ValidationError(f"case {idx} must be an object with 'check'")
-        kind = case["check"]
-        bound = float(case.get("bound", 1e-8))
-        if override is not None:
-            bound = float(override)
-        s = complex(case.get("s", {"re": 0.6}).get("re", 0.6),
-                    case.get("s", {}).get("im", 0.0)) \
-            if isinstance(case.get("s"), dict) else complex(case.get("s", 0.6))
-        if kind == "funceq_lattice":
-            q = matrix_from_json(case["Q"])
-            lat = (Lattice(matrix_from_json(case["lattice"]))
-                   if "lattice" in case else Lattice(np.eye(q.shape[0])))
-            measured = funceq_residual_lattice(lat, q, s).residual
-        elif kind == "funceq_weighted":
-            q = matrix_from_json(case["Q"])
-            b = matrix_from_json(case["B"])
-            lat = (Lattice(matrix_from_json(case["lattice"]))
-                   if "lattice" in case else Lattice(np.eye(q.shape[0])))
-            measured = funceq_residual_weighted(lat, q, b, s).residual
-        elif kind == "funceq_vector":
-            a = matrix_from_json(case["A"])
-            b = vector_from_json(case["b"])
-            c = vector_from_json(case["c"])
-            measured = funceq_residual_vector(a, b, c, s).residual
-        else:
-            raise ValidationError(f"unknown check kind {kind!r}")
-        rows.append((f"{kind}[{idx}]", float(measured), bound))
-    return rows

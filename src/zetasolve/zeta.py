@@ -83,35 +83,6 @@ class ZetaValue:
 
 
 @dataclass(frozen=True)
-class GammaFactorSpec:
-    """The factor ``G(s) = scalar * pi^-(s + pi_shift) * Gamma(s + gamma_shift)``.
-
-    Covers the completed-zeta prefactors ``pi^-s Gamma(s)`` (shifts 0, 0) and
-    ``pi^-(s+1) Gamma(s+1)`` (shifts 1, 1).
-    """
-
-    scalar: float
-    pi_shift: float
-    gamma_shift: float
-
-    def value(self, s) -> complex:
-        s = complex(s)
-        return (self.scalar * cmath.exp(-(s + self.pi_shift) * _LOG_PI)
-                * gamma_complex(s + self.gamma_shift))
-
-    def pole_location(self, j: int = 0) -> float:
-        """Location of the j-th gamma pole (j = 0 is the rightmost)."""
-        return -self.gamma_shift - j
-
-    def residue_at_gamma_pole(self, j: int = 0) -> float:
-        """Residue of G at ``s = -gamma_shift - j``."""
-        s0 = self.pole_location(j)
-        sign = -1.0 if j % 2 else 1.0
-        return (self.scalar * math.pi ** (-(s0 + self.pi_shift))
-                * sign / math.factorial(j))
-
-
-@dataclass(frozen=True)
 class PoleReport:
     """A simple pole: location, residue (scalar or vector), provenance."""
 
@@ -468,12 +439,28 @@ def residue_vector(A, b) -> PoleReport:
     return PoleReport(location=n / 2.0 + 1.0, residue=res, source="analytic")
 
 
+def _node_value(val):
+    """One evaluator result as a complex, or a complex array for vector values."""
+    if isinstance(val, list):
+        return np.array([getattr(v, "value", v) for v in val], dtype=complex)
+    val = getattr(val, "value", val)
+    if isinstance(val, np.ndarray) and val.ndim:
+        return val.astype(complex)
+    return complex(val)
+
+
 def residue_numeric(evaluator, s0: float, rho: float = RESIDUE_RHO,
                     m: int = RESIDUE_NODES) -> PoleReport:
     """Cauchy-integral residue on a circle around ``s0`` (trapezoid rule).
 
     ``residue ~ (rho/m) sum_k f(s0 + rho e^(i theta_k)) e^(i theta_k)`` with
     equispaced nodes; exponentially accurate in ``m`` for a simple pole.
+
+    ``evaluator(s)`` may return a number, a :class:`ZetaValue`, a list of
+    ``ZetaValue`` (as :func:`vector_zeta` does) or a 1-D array.  Scalar
+    results give a complex residue.  List and array results give an
+    ``ndarray`` residue: the sum runs over all components at once, in node
+    order, so each node is evaluated once for the whole vector.
     """
     total = 0.0 + 0.0j
     for k in range(m):
@@ -483,8 +470,7 @@ def residue_numeric(evaluator, s0: float, rho: float = RESIDUE_RHO,
             val = evaluator(z)
         except Exception as exc:  # noqa: BLE001 - reported as EvaluationFailure
             raise EvaluationFailure(f"evaluator failed at node {z}: {exc}") from exc
-        val = getattr(val, "value", val)
-        total += complex(val) * cmath.exp(1j * theta)
+        total += _node_value(val) * cmath.exp(1j * theta)
     return PoleReport(location=float(s0), residue=total * rho / m, source="numeric")
 
 

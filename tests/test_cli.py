@@ -206,14 +206,14 @@ def test_seed_flag_overrides(tmp_path, capsys):
 
 
 def test_verify_user_cases(tmp_path, capsys):
-    payload = {"cases": [{"check": "funceq_lattice", "Q": I2,
-                          "s": {"re": 0.6, "im": 0.1}}]}
-    path = write(tmp_path, "in.json", payload)
-    code, out, _ = run_cli(capsys, "verify", "-i", path)
-    assert code == 0
-    rec = json.loads(out.strip())
-    assert rec["status"] == "pass"
-    assert rec["measured"] < rec["bound"]
+    for s in ({"re": 0.6, "im": 0.1}, [0.6, 0.1]):
+        payload = {"cases": [{"check": "funceq_lattice", "Q": I2, "s": s}]}
+        path = write(tmp_path, "in.json", payload)
+        code, out, _ = run_cli(capsys, "verify", "-i", path)
+        assert code == 0
+        rec = json.loads(out.strip())
+        assert rec["status"] == "pass"
+        assert rec["measured"] < rec["bound"]
 
 
 def test_verify_overtight_bound_fails(tmp_path, capsys):
@@ -243,3 +243,29 @@ def test_bench_runs(tmp_path, capsys):
     assert code == 0
     recs = [json.loads(line) for line in out.strip().splitlines()]
     assert {"task", "runs", "seconds_total", "ms_per_run"} <= set(recs[0])
+
+
+LATTICE_CASE = {"check": "funceq_lattice", "Q": I2, "s": 0.6}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("verify", {"cases": [{**LATTICE_CASE, "s": {"im": 1}}]}),
+    ("verify", {"cases": [{"check": "funceq_lattice", "s": 0.6}]}),
+    ("verify", {"cases": [{**LATTICE_CASE, "bogus": 1}]}),
+    ("verify", {"cases": [LATTICE_CASE], "tolerance": "x"}),
+    ("verify", {"cases": [{**LATTICE_CASE, "bound": "x"}]}),
+    ("funceq", {"family": "lattice", "s": 0.6}),
+    ("funceq", {"family": "vector", "A": I2, "c": [1.0, 0.0], "s": 0.6}),
+    ("zeta", {"Q": I2, "s": [1, "a"]}),
+    ("zeta", {"Q": I2, "s": {"re": "x"}}),
+    ("theta", {"Q": I2, "t": "a"}),
+    ("theta", {"Q": I2, "t": 1.0, "tol": "x"}),
+    ("bench", {"repeat": "x"}),
+    ("bench", {"repeat": 2.7}),
+    ("residue", {"Q": I2, "numeric": "false"}),
+])
+def test_malformed_input_exits_2(tmp_path, capsys, command, payload):
+    path = write(tmp_path, "in.json", payload)
+    code, _, err = run_cli(capsys, command, "-i", path)
+    assert code == 2
+    assert err.startswith("invalid input:")

@@ -1,0 +1,20 @@
+"""Smoke test: every script under demos/ runs to completion."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert DEMOS, "no scripts under demos/"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from zetasolve.quadforms import Lattice, cholesky, sym_outer
 from zetasolve.theta import enumerate_ellipsoid
 from zetasolve.zeta import (
     FuncEqResidual,
-    GammaFactorSpec,
     ZetaValue,
     epstein_continued,
     epstein_direct,
@@ -262,6 +262,9 @@ def test_residue_numeric_rational_function():
     rep = residue_numeric(lambda s: 1.0 / (s - 2.0), 2.0)
     assert abs(rep.residue - 1.0) < 1e-12
     assert rep.source == "numeric"
+    rep = residue_numeric(lambda s: np.array([1.0, -3.0]) / (s - 2.0), 2.0)
+    assert isinstance(rep.residue, np.ndarray)
+    assert np.max(np.abs(rep.residue - [1.0, -3.0])) < 1e-12
 
 
 def test_residue_numeric_matches_analytic():
@@ -272,6 +275,25 @@ def test_residue_numeric_matches_analytic():
     lat = Lattice(np.diag([2.0, 3.0]))
     num = residue_numeric(lambda s: lattice_zeta(lat, I2, s), 1.0).residue
     assert abs(num - math.pi / 6.0) < 1e-8
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.array([[2.0, 1.0], [1.0, 3.0]]), [5.0, 10.0]),
+    (np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [1.0, 0.0, 2.0]]), [1.0, 0.0, -1.0]),
+])
+def test_residue_numeric_vector_evaluator(a, b):
+    # one contour over all components; agrees with per-component contours up
+    # to rounding (the residues are below 1 in size, so 1e-15 is a few ulps)
+    n = a.shape[0]
+    rep = residue_numeric(lambda s: vector_zeta(a, b, s), n / 2.0 + 1.0)
+    assert isinstance(rep.residue, np.ndarray) and rep.residue.shape == (n,)
+    values = functools.lru_cache(maxsize=None)(lambda s: vector_zeta(a, b, s))
+    for j in range(n):
+        scalar = residue_numeric(lambda s: values(s)[j].value, n / 2.0 + 1.0).residue
+        assert isinstance(scalar, complex)
+        assert abs(rep.residue[j] - scalar) <= 1e-15
+    analytic = np.asarray(residue_vector(a, b).residue)
+    assert np.max(np.abs(rep.residue - analytic)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -315,23 +337,14 @@ def test_funceq_grid_all_families():
 # gamma-factor bookkeeping
 # ---------------------------------------------------------------------------
 
-def test_gamma_factor_spec():
-    g = GammaFactorSpec(scalar=1.0, pi_shift=0.0, gamma_shift=0.0)
-    assert g.value(2.0) == pytest.approx(math.pi ** -2, rel=1e-12)
-    assert g.pole_location() == 0.0
-    assert g.residue_at_gamma_pole() == pytest.approx(1.0)
-    g11 = GammaFactorSpec(scalar=1.0, pi_shift=1.0, gamma_shift=1.0)
-    assert g11.pole_location() == -1.0
-    assert g11.value(1.0) == pytest.approx(math.pi ** -2, rel=1e-12)
-
-
 def test_gamma_factor_consistency_with_residues():
-    # G(n/2) * residue == det^(-1/2), and zeta(0) * Res_0 G == -1
-    g = GammaFactorSpec(scalar=1.0, pi_shift=0.0, gamma_shift=0.0)
+    # with G(s) = pi^-s Gamma(s): G(n/2) * residue == det^(-1/2), and
+    # zeta(0) * Res_0 G == -1, where Res_0 G = pi^0 Gamma(1)
     for q in FORMS:
         qf = cholesky(q)
         n = qf.n
         res = complex(residue_epstein(Lattice(np.eye(n)), qf).residue).real
-        assert g.value(n / 2.0).real * res == pytest.approx(1.0 / qf.sqrt_det, rel=1e-10)
+        g = math.pi ** (-n / 2.0) * math.gamma(n / 2.0)
+        assert g * res == pytest.approx(1.0 / qf.sqrt_det, rel=1e-10)
         z0 = epstein_continued(qf, 0.0).value.real
-        assert z0 * g.residue_at_gamma_pole() == pytest.approx(-1.0, abs=1e-10)
+        assert z0 * math.pi ** -0.0 * math.gamma(1.0) == pytest.approx(-1.0, abs=1e-10)
