@@ -2,7 +2,7 @@
 
 The Cimmino integrands are smooth even functions on S^(n-1), so a trapezoid
 rule on the circle, a Gauss-Legendre product rule in spherical coordinates,
-and antithetic Monte Carlo cover every dimension this package cares about.
+and Monte Carlo cover every dimension this package cares about.
 """
 
 import math

@@ -92,6 +92,9 @@ _VALIDATION_ERRORS = (
 )
 _POLE_ERRORS = (TooCloseToPole, PoleOfGamma)
 
+MAX_SCAN_STEPS = 10_000
+MAX_BENCH_REPEAT = 100
+
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
@@ -137,9 +140,9 @@ def _number(obj, what: str) -> float:
     raise ValidationError(f"{what} must be a finite number, got {obj!r}")
 
 
-def _count(obj, what: str) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int) or obj < 1:
-        raise ValidationError(f"{what} must be a positive integer, got {obj!r}")
+def _count(obj, what: str, limit: int) -> int:
+    if isinstance(obj, bool) or not isinstance(obj, int) or not 1 <= obj <= limit:
+        raise ValidationError(f"{what} must be an integer in [1, {limit}], got {obj!r}")
     return obj
 
 
@@ -280,8 +283,7 @@ def _emit_records(records: list[dict], fmt: str, out) -> None:
 
 def _cmd_zeta(args) -> int:
     data = _load_input(args.input)
-    _check_keys(data, {"Q", "B", "lattice", "A", "b", "s", "s_list", "tolerance"},
-                "zeta")
+    _check_keys(data, {"Q", "B", "lattice", "A", "b", "s", "s_list"}, "zeta")
     points = _s_points(data)
     family = _zeta_family(data, "zeta")
     records = []
@@ -439,7 +441,7 @@ def _cmd_verify(args) -> int:
 def _cmd_bench(args) -> int:
     data = _load_input(args.input) if args.input else {}
     _check_keys(data, {"repeat"}, "bench")
-    repeat = _count(data.get("repeat", 3), "repeat")
+    repeat = _count(data.get("repeat", 3), "repeat", MAX_BENCH_REPEAT)
     eye2 = np.eye(2)
     a3 = np.array([[3.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 5.0]])
     b3 = np.array([1.0, 2.0, 3.0])
@@ -470,7 +472,7 @@ def _cmd_scan(args) -> int:
     family = _zeta_family(data, "scan")
     start = _parse_s(_field(data, "s_start", "scan"))
     end = _parse_s(_field(data, "s_end", "scan"))
-    steps = _count(data.get("steps", 2), "steps")
+    steps = _count(data.get("steps", 2), "steps", MAX_SCAN_STEPS)
 
     out = sys.stdout
     out.write("re_s,im_s,re_zeta,im_zeta,abs_err,flag\n")

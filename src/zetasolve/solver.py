@@ -50,11 +50,8 @@ from .quadforms import (
 )
 from .spherequad import (
     QuadratureSpec,
-    _block_sums,
-    sample_directions,
     sphere_integrate,
     sphere_quadrature_nodes,
-    sphere_surface_measure,
 )
 from .tolerances import (
     CONDITION_WARN,
@@ -172,20 +169,23 @@ def _rel_err(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.abs(x - ref) / scale
 
 
-def _row_norm_sq(u: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _cimmino_terms(u: np.ndarray, a: np.ndarray, bv: np.ndarray):
+    """``(p, g, v)`` at unit rows ``u``: ``v = A^T u``, the R integrand
+    ``p = |v|^-n`` and ``g = n |v|^(-n-2) <b, u>``; ``g * v[:, i]`` is R_i's."""
+    n = a.shape[0]
     v = u @ a
-    return np.einsum("ij,ij->i", v, v)
+    q = np.einsum("ij,ij->i", v, v)
+    g = n * (np.power(q, -(n + 2) / 2.0) * (u @ bv))
+    return np.power(q, -n / 2.0), g, v
 
 
 def cimmino_R_integral(A, spec: QuadratureSpec) -> float:
     """Sphere integral of ``|A^T u|^-n`` (the solution denominator)."""
     a = as_square(A)
     n = a.shape[0]
-    LinearSystem(a, np.zeros(n))  # singularity validation
-    result = sphere_integrate(
-        lambda u: np.power(_row_norm_sq(u, a), -n / 2.0), n, spec
-    )
-    return float(result.value)
+    bv = np.zeros(n)
+    LinearSystem(a, bv)  # singularity validation
+    return sphere_integrate(lambda u: _cimmino_terms(u, a, bv)[0], n, spec).value
 
 
 def cimmino_Ri_integral(A, b, i: int, spec: QuadratureSpec) -> float:
@@ -201,11 +201,10 @@ def cimmino_Ri_integral(A, b, i: int, spec: QuadratureSpec) -> float:
         raise ValidationError(f"component index must be in 1..{n}, got {i}")
 
     def integrand(u):
-        v = u @ a
-        q = np.einsum("ij,ij->i", v, v)
-        return np.power(q, -(n + 2) / 2.0) * (u @ bv) * v[:, i - 1]
+        _, g, v = _cimmino_terms(u, a, bv)
+        return g * v[:, i - 1]
 
-    return n * float(sphere_integrate(integrand, n, spec).value)
+    return sphere_integrate(integrand, n, spec).value
 
 
 def solve_via_integrals(A, b, spec: QuadratureSpec) -> SolveReport:
@@ -222,45 +221,32 @@ def solve_via_integrals(A, b, spec: QuadratureSpec) -> SolveReport:
 
     method = {"route": "integrals", "quadrature": spec.method,
               "nodes": spec.nodes, "seed": spec.seed}
-    err3 = None
-
     if spec.method == "monte_carlo":
-        m = spec.nodes
-        u = sample_directions(n, m, spec.seed)
-        v = u @ a
-        q = np.einsum("ij,ij->i", v, v)
-        p_vals = np.power(q, -n / 2.0)
-        base = np.power(q, -(n + 2) / 2.0) * (u @ bv)
-        q_vals = n * base[:, None] * v  # column j: R_j integrand (even in u)
-        mean_p = _block_sums(p_vals) / m
-        mean_q = np.array([_block_sums(q_vals[:, j]) for j in range(n)]) / m
-        if mean_p <= 0.0:
-            raise DegenerateQuadrature("nonpositive denominator estimate")
-        surface = sphere_surface_measure(n)
-        r_value = surface * mean_p
-        ri_value = surface * mean_q
-        x = ri_value / r_value
-        if m > 1:
-            var_p = max(_block_sums(p_vals * p_vals) - m * mean_p ** 2, 0.0) / (m - 1)
-            err3 = np.empty(n)
-            for j in range(n):
-                qj = q_vals[:, j]
-                var_q = max(_block_sums(qj * qj) - m * mean_q[j] ** 2, 0.0) / (m - 1)
-                cov = (_block_sums(qj * p_vals) - m * mean_q[j] * mean_p) / (m - 1)
-                var_x = (var_q - 2.0 * x[j] * cov + x[j] ** 2 * var_p) / (m * mean_p ** 2)
-                err3[j] = 3.0 * math.sqrt(max(var_x, 0.0))
-        else:
-            err3 = np.full(n, math.inf)
+        def columns(u):  # the R, R_1 .. R_n integrands, written once
+            p, g, v = _cimmino_terms(u, a, bv)
+            out = np.empty((len(u), n + 1))
+            out[:, 0] = p
+            np.multiply(g[:, None], v, out=out[:, 1:])
+            return out
+
+        result = sphere_integrate(columns, n, spec)
+        r_value, ri_value = result.value[0], result.value[1:]
     else:
         nodes, w = sphere_quadrature_nodes(n, spec)
-        v = nodes @ a
-        q = np.einsum("ij,ij->i", v, v)
-        r_value = float(w @ np.power(q, -n / 2.0))
-        base = w * np.power(q, -(n + 2) / 2.0) * (nodes @ bv)
-        ri_value = n * (base @ v)
-        if r_value <= 0.0:
-            raise DegenerateQuadrature("nonpositive denominator estimate")
-        x = ri_value / r_value
+        p, g, v = _cimmino_terms(nodes, a, bv)
+        r_value = float(w @ p)
+        ri_value = (w * g) @ v
+    if r_value <= 0.0:
+        raise DegenerateQuadrature("nonpositive denominator estimate")
+    x = ri_value / r_value
+
+    err3 = None
+    if spec.method == "monte_carlo":
+        err3 = np.full(n, math.inf)  # one sample has no variance estimate
+        if spec.nodes > 1:  # delta method: Var(R_i / R) = (C_ii - 2 x_i C_i0 + x_i^2 C_00) / R^2
+            c = result.covariance
+            var_x = (np.diagonal(c)[1:] - 2.0 * x * c[1:, 0] + x * x * c[0, 0]) / r_value ** 2
+            err3 = 3.0 * np.sqrt(np.maximum(var_x, 0.0))
 
     return SolveReport(
         x=x,

@@ -8,7 +8,8 @@ Three rules, selected by :class:`QuadratureSpec`:
   Gauss-Legendre nodes in each polar angle (``nodes`` per axis) and a
   ``2 * nodes``-point trapezoid in the azimuth;
 * ``monte_carlo`` (n >= 2): directions from normalized standard Gaussian
-  vectors, evaluated in antithetic pairs (u, -u); reports 3-sigma error bars.
+  vectors, each evaluated once (no antithetic ``(u, -u)`` pairs: the paper's
+  integrands are even, so a pair only doubles the work); 3-sigma error bars.
 
 ``n = 1`` is the two-point counting measure on {-1, +1} regardless of method.
 
@@ -30,8 +31,11 @@ first n Gaussians.  Sampling is organized in fixed blocks of 65536
 directions whose partial sums are reduced in block order, so the result is
 independent of any internal parallel split.
 
-Integrand contract: ``f`` receives an ``(m, n)`` array of unit rows and
-must return an ``(m,)`` array of values.
+Integrand contract: ``f`` maps an ``(m, n)`` array of unit rows to ``(m,)``
+values, or to ``(m, k)`` for k integrals over the same directions; ``value``
+and ``error_estimate`` are then floats or ``(k,)`` arrays, and ``covariance``
+(of the Monte Carlo estimate, zero for n = 1, ``None`` for the deterministic
+rules) a float or ``(k, k)``.
 """
 
 from __future__ import annotations
@@ -72,10 +76,11 @@ class QuadratureSpec:
 @dataclass(frozen=True)
 class SphereIntegralResult:
     """Integral value and an error estimate (3 sigma for MC, last-refinement
-    delta for the deterministic rules)."""
+    delta for the deterministic rules); ``covariance`` of the MC estimate."""
 
-    value: float
-    error_estimate: float
+    value: float | np.ndarray
+    error_estimate: float | np.ndarray
+    covariance: float | np.ndarray | None = None
 
 
 def sphere_surface_measure(n: int) -> float:
@@ -224,9 +229,10 @@ def sphere_quadrature_nodes(n: int, spec: QuadratureSpec):
 
 def _evaluate(f, u: np.ndarray) -> np.ndarray:
     vals = np.asarray(f(u), dtype=float)
-    if vals.shape != (u.shape[0],):
+    m = u.shape[0]
+    if vals.ndim not in (1, 2) or vals.shape[0] != m or 0 in vals.shape:
         raise ValidationError(
-            f"integrand must map ({u.shape[0]}, {u.shape[1]}) to ({u.shape[0]},), "
+            f"integrand must map ({m}, {u.shape[1]}) to ({m},) or ({m}, k), "
             f"got shape {vals.shape}"
         )
     if not np.all(np.isfinite(vals)):
@@ -234,19 +240,30 @@ def _evaluate(f, u: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _block_sums(values: np.ndarray) -> float:
-    """Sum in fixed blocks, reduced in block order."""
-    parts = [float(np.sum(values[i:i + _BLOCK])) for i in range(0, values.size, _BLOCK)]
-    return math.fsum(parts)
+def _monte_carlo(cols: np.ndarray, n: int):
+    """Surface measure times the column means, and the covariance of that
+    estimate.  Per block of ``_BLOCK`` rows it takes the column sums, then the
+    Gram matrix of the deviations from the mean; each is reduced with ``fsum``
+    in block order."""
+    m, k = cols.shape
+    blocks = [cols[i:i + _BLOCK] for i in range(0, m, _BLOCK)]
+    mean = np.array([math.fsum(np.sum(b[:, j]) for b in blocks) for j in range(k)]) / m
+    surface = sphere_surface_measure(n)
+    if m == 1:
+        return surface * mean, np.full((k, k), math.inf)
+    grams = np.array([d.T @ d for d in (b - mean for b in blocks)])
+    m2 = np.array([[math.fsum(grams[:, r, c]) for c in range(k)] for r in range(k)])
+    return surface * mean, (surface * surface) * (m2 / (m - 1)) / m
 
 
-def _deterministic_value(f, n: int, spec: QuadratureSpec) -> float:
+def _deterministic_value(f, n: int, spec: QuadratureSpec) -> np.ndarray:
     u, w = sphere_quadrature_nodes(n, spec)
-    return float(w @ _evaluate(f, u))
+    return w @ _evaluate(f, u)
 
 
 def sphere_integrate(f, n: int, spec: QuadratureSpec) -> SphereIntegralResult:
-    """Approximate ``integral over S^(n-1) of f(u) du`` (unnormalized measure).
+    """Approximate ``integral over S^(n-1) of f(u) du`` (unnormalized measure)
+    for ``(m,)`` or ``(m, k)`` integrands (see the module docstring).
 
     Deterministic given the spec (including the seed for Monte Carlo).
     """
@@ -254,30 +271,22 @@ def sphere_integrate(f, n: int, spec: QuadratureSpec) -> SphereIntegralResult:
         raise ValidationError("spec must be a QuadratureSpec")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValidationError(f"dimension must be a positive integer, got {n!r}")
+    if n > 1 and spec.method != "monte_carlo":
+        value = _deterministic_value(f, n, spec)
+        half = QuadratureSpec(spec.method, max(2, spec.nodes // 2), spec.seed)
+        error = np.abs(value - _deterministic_value(f, n, half))
+        if value.ndim == 0:
+            return SphereIntegralResult(float(value), float(error))
+        return SphereIntegralResult(value, error)
+
+    u = np.array([[1.0], [-1.0]]) if n == 1 else sample_directions(n, spec.nodes, spec.seed)
+    vals = _evaluate(f, u)
+    cols = vals.reshape(len(u), -1)
     if n == 1:
-        u = np.array([[1.0], [-1.0]])
-        vals = _evaluate(f, u)
-        return SphereIntegralResult(value=float(vals.sum()), error_estimate=0.0)
-
-    if spec.method == "monte_carlo":
-        if n < 2:
-            raise ValidationError("monte_carlo needs n >= 2")
-        m = spec.nodes
-        u = sample_directions(n, m, spec.seed)
-        pair = 0.5 * (_evaluate(f, u) + _evaluate(f, -u))
-        total = _block_sums(pair)
-        total_sq = _block_sums(pair * pair)
-        mean = total / m
-        surface = sphere_surface_measure(n)
-        if m > 1:
-            var = max(total_sq - m * mean * mean, 0.0) / (m - 1)
-            stderr = surface * math.sqrt(var / m)
-        else:
-            stderr = math.inf
-        return SphereIntegralResult(value=surface * mean, error_estimate=3.0 * stderr)
-
-    value = _deterministic_value(f, n, spec)
-    half_nodes = max(2, spec.nodes // 2)
-    half = QuadratureSpec(method=spec.method, nodes=half_nodes, seed=spec.seed)
-    coarse = _deterministic_value(f, n, half)
-    return SphereIntegralResult(value=value, error_estimate=abs(value - coarse))
+        value, cov = cols.sum(axis=0), np.zeros((cols.shape[1],) * 2)
+    else:
+        value, cov = _monte_carlo(cols, n)
+    error = 3.0 * np.sqrt(np.diagonal(cov))
+    if vals.ndim == 1:
+        return SphereIntegralResult(float(value[0]), float(error[0]), float(cov[0, 0]))
+    return SphereIntegralResult(value, error, cov)

@@ -263,6 +263,9 @@ LATTICE_CASE = {"check": "funceq_lattice", "Q": I2, "s": 0.6}
     ("bench", {"repeat": "x"}),
     ("bench", {"repeat": 2.7}),
     ("residue", {"Q": I2, "numeric": "false"}),
+    ("zeta", {"Q": I2, "s": 3, "tolerance": 1e-300}),
+    ("scan", {"Q": I2, "s_start": 2.0, "s_end": 3.0, "steps": 10 ** 400}),
+    ("bench", {"repeat": 10 ** 400}),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, command, payload):
     path = write(tmp_path, "in.json", payload)

@@ -84,6 +84,10 @@ def test_solve_via_integrals_monte_carlo():
     assert np.all(np.abs(r.x - r.x_reference) <= r.x_error3sigma)
     assert r.method["seed"] == 42
     assert np.array_equal(r.x, r.Ri / r.R)
+    # n = 1 uses the exact two-point rule whatever the sample count
+    r = solve_via_integrals([[2.0]], [3.0], QuadratureSpec("monte_carlo", 10 ** 6))
+    assert np.array_equal(r.x, [1.5])
+    assert np.array_equal(r.x_error3sigma, [0.0])
 
 
 def test_solve_via_residues_examples():

@@ -153,3 +153,49 @@ def test_nodes_shapes():
     assert np.allclose(np.linalg.norm(u, axis=1), 1.0)
     with pytest.raises(ValidationError):
         sphere_quadrature_nodes(3, QuadratureSpec("monte_carlo", 100))
+
+
+def moments(u):
+    return np.column_stack([np.ones(len(u)), u[:, 0] ** 2, u[:, 0] * u[:, 1]])
+
+
+def test_monte_carlo_vector_integrand():
+    spec = QuadratureSpec("monte_carlo", 100000, seed=8)
+    r = sphere_integrate(moments, 3, spec)
+    assert r.value.shape == (3,) and r.covariance.shape == (3, 3)
+    for j in range(3):
+        scalar = sphere_integrate(lambda u, j=j: moments(u)[:, j], 3, spec)
+        if j == 2:
+            assert abs(r.value[j] - scalar.value) <= 1e-14
+        else:
+            assert r.value[j] == pytest.approx(scalar.value, rel=1e-14, abs=0.0)
+        assert r.error_estimate[j] == pytest.approx(scalar.error_estimate, rel=1e-14)
+        assert r.covariance[j, j] == pytest.approx(scalar.covariance, rel=1e-14)
+    cov = r.covariance
+    assert np.array_equal(cov, cov.T)
+    assert np.min(np.linalg.eigvalsh(cov)) >= -1e-15 * np.max(np.diag(cov))
+    assert np.all(cov[0] == 0.0) and np.all(cov[:, 0] == 0.0)
+    assert np.array_equal(r.error_estimate, 3.0 * np.sqrt(np.diag(cov)))
+
+
+def test_deterministic_vector_integrand():
+    spec = QuadratureSpec("product_gauss", 16)
+    r = sphere_integrate(moments, 3, spec)
+    assert r.covariance is None
+    for j in range(3):
+        scalar = sphere_integrate(lambda u, j=j: moments(u)[:, j], 3, spec)
+        scale = max(abs(scalar.value), 1.0)
+        assert abs(r.value[j] - scalar.value) <= 1e-14 * scale
+        # a difference of two rules: both sides are round-off at this order
+        assert abs(r.error_estimate[j] - scalar.error_estimate) <= 1e-13 * scale
+
+
+def test_integrand_shape_rejected():
+    for spec in (QuadratureSpec("monte_carlo", 100, seed=1),
+                 QuadratureSpec("product_gauss", 4)):
+        with pytest.raises(ValidationError):
+            sphere_integrate(lambda u: np.ones((len(u), 2, 2)), 3, spec)
+        with pytest.raises(ValidationError):
+            sphere_integrate(lambda u: np.ones(len(u) + 1), 3, spec)
+        with pytest.raises(ValidationError):
+            sphere_integrate(lambda u: np.ones((len(u) - 1, 2)), 3, spec)
