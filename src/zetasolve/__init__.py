@@ -59,7 +59,11 @@ from .solver import (
     solve_via_integrals,
     solve_via_residues,
 )
-from .specfun import gamma_complex, reciprocal_gamma, upper_incomplete_gamma
+from .specfun import (
+    gamma_complex,
+    reciprocal_gamma,
+    upper_incomplete_gamma,
+)
 from .spherequad import (
     QuadratureSpec,
     SphereIntegralResult,

@@ -109,7 +109,7 @@ def _load_input(path: str) -> dict:
                 data = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read input: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, over-long integer literals
         raise ValidationError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError("input must be a JSON object")

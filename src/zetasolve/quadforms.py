@@ -11,10 +11,10 @@ Conventions used throughout the package:
 
 Arrays are read-only after construction and the functions here are pure,
 but the package is not thread-safe: an ``SPDForm`` fills ``_min_eig``,
-``_inverse_form`` and its enumeration cache ``_enum_cache`` lazily on first
-use, and :mod:`zetasolve.zeta` keeps a module-level dict of forms
-(``_SPD_CACHE``).  Neither is locked, so share forms between threads only
-behind a lock of the caller's own.
+``_inverse_form``, its det-1 rescaling ``_unit_form`` and its enumeration
+cache ``_enum_cache`` lazily on first use, and :mod:`zetasolve.zeta` keeps
+a module-level dict of forms (``_SPD_CACHE``).  Neither is locked, so
+share forms between threads only behind a lock of the caller's own.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class SPDForm:
     """
 
     __slots__ = ("matrix", "chol", "det", "inv", "n", "_inverse_form",
-                 "_min_eig", "_enum_cache")
+                 "_unit_form", "_min_eig", "_enum_cache")
 
     def __init__(self, matrix):
         m = as_symmetric(matrix)
@@ -131,6 +131,7 @@ class SPDForm:
         inv = np.linalg.inv(m)
         self.inv = _freeze((inv + inv.T) / 2.0)
         self._inverse_form = None
+        self._unit_form = None
         self._min_eig = None
         self._enum_cache = {}
 
@@ -149,6 +150,15 @@ class SPDForm:
         if self._inverse_form is None:
             self._inverse_form = SPDForm(self.inv)
         return self._inverse_form
+
+    def unit_form(self) -> "SPDForm":
+        """The form divided by ``det^(1/n)``, so of determinant 1 (cached;
+        the form itself when its determinant is already 1)."""
+        if self.det == 1.0:
+            return self
+        if self._unit_form is None:
+            self._unit_form = SPDForm(self.matrix * math.exp(-math.log(self.det) / self.n))
+        return self._unit_form
 
     def qeval(self, x) -> float:
         return qeval(self, x)

@@ -20,7 +20,8 @@ Three routes, each cross-checked against an LU direct solve:
   per solution component.
 
 * ``numeric_residue_solve``: contour residues of the *continued* zeta
-  evaluators (an end-to-end check of the continuation machinery, n <= 3).
+  evaluators (an end-to-end check of the continuation machinery, n <= 5).
+  Each residue is one evaluator call on all contour nodes at once.
 
 Every report carries the reference solution, per-component errors relative
 to ``max |x_ref|``, and a 1-norm condition estimate (a warning is emitted
@@ -282,11 +283,11 @@ def solve_via_residues(A, b) -> SolveReport:
 def numeric_residue_solve(A, b, rho: float = RESIDUE_RHO,
                           m: int = RESIDUE_NODES) -> SolveReport:
     """Cimmino solve with residues extracted numerically from the continued
-    zeta evaluators (contour trapezoid); limited to n <= 3 for cost."""
+    zeta evaluators (contour trapezoid); limited to n <= 5 for cost."""
     system = LinearSystem(A, b)
     a, bv, n = system.A, system.b, system.n
-    if n > 3:
-        raise ValidationError(f"numeric residue solve supports n <= 3, got n={n}")
+    if n > 5:
+        raise ValidationError(f"numeric residue solve supports n <= 5, got n={n}")
     x_ref = solve_direct(a, bv)
 
     gram = gram_transform(np.eye(n), a.T)

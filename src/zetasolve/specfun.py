@@ -18,6 +18,18 @@ non-positive integers.  Region layout:
   against the gamma-function pole analytically, evaluated either directly
   or, for ``|z| <= 1e-2``, through order-8 Taylor coefficients in ``z``.
 
+``upper_incomplete_gamma_many(a, x)`` is the same function at every pair of
+two 1-D numpy arrays.  Its continued-fraction points iterate together, and
+the set still iterating is compacted as points converge; once fewer than
+``_CF_SCALAR_FINISH`` remain, each survivor finishes on the scalar
+recurrence from its current state (one numpy step costs about as much as
+25-35 scalar steps, measured on a 2-vCPU x86 host).  The few points outside
+the continued-fraction region take the scalar series branches.
+
+Where the Lanczos product leaves the double range the gamma function is
+evaluated in the log domain: ``1/Gamma`` underflows to 0 and a result
+beyond the double range raises :class:`~zetasolve.errors.EvaluationFailure`.
+
 All tolerances are fixed in :mod:`zetasolve.tolerances`.
 """
 
@@ -25,6 +37,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
+
+import numpy as np
 
 from .errors import EvaluationFailure, NonPositiveX, PoleOfGamma
 from .tolerances import (
@@ -34,7 +49,9 @@ from .tolerances import (
     IGAMMA_UNDERFLOW_LOG,
 )
 
-_TWO_PI = 2.0 * math.pi
+_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+_MIN_NORMAL = sys.float_info.min
 _EULER_GAMMA = 0.5772156649015328606065120900824024
 _ZETA = {
     2: math.pi ** 2 / 6.0,
@@ -67,6 +84,8 @@ _LANCZOS_COEF = (
 
 _SERIES_MAX_TERMS = 5000
 _CF_MAX_ITER = 200000
+_CF_TINY = 1e-300
+_CF_SCALAR_FINISH = 24
 _TAYLOR_ORDER = 8
 
 
@@ -78,20 +97,59 @@ def _sinpi(z: complex) -> complex:
     return -s if m % 2 else s
 
 
-def _lanczos_right(z: complex) -> complex:
-    """Lanczos Gamma(z) for Re(z) >= 0.5."""
+def _exp(w: complex, name: str, *args) -> complex:
+    """exp(w) = name(*args), raising EvaluationFailure where it overflows."""
+    try:
+        return cmath.exp(w)
+    except OverflowError:
+        arg = ", ".join(map(str, args))
+        raise EvaluationFailure(f"{name}({arg}) overflows the double range") from None
+
+
+def _lanczos_sum(z: complex) -> tuple[complex, complex]:
+    """The Lanczos series and the shifted argument t for Re(z) >= 0.5."""
     acc = _LANCZOS_COEF[0]
     for i in range(1, len(_LANCZOS_COEF)):
         acc += _LANCZOS_COEF[i] / (z - 1.0 + i)
-    t = z + _LANCZOS_G - 0.5
-    return math.sqrt(_TWO_PI) * t ** (z - 0.5) * cmath.exp(-t) * acc
+    return acc, z + _LANCZOS_G - 0.5
+
+
+def _lanczos_direct(z: complex) -> complex | None:
+    """Lanczos Gamma(z) for Re(z) >= 0.5 as a direct product, or None where
+    the product leaves the normal double range (its factors overflow from
+    z ~ 143 on, before Gamma does)."""
+    acc, t = _lanczos_sum(z)
+    try:
+        g = _SQRT_TWO_PI * t ** (z - 0.5) * cmath.exp(-t) * acc
+    except OverflowError:
+        return None
+    return g if _MIN_NORMAL <= abs(g) < math.inf else None
+
+
+def _lanczos_log(z: complex) -> complex:
+    """Lanczos log Gamma(z) for Re(z) >= 0.5 (any branch of the log)."""
+    acc, t = _lanczos_sum(z)
+    return _HALF_LOG_TWO_PI + (z - 0.5) * cmath.log(t) - t + cmath.log(acc)
+
+
+def _lanczos_right(z: complex) -> complex:
+    """Lanczos Gamma(z) for Re(z) >= 0.5 (the direct product is accurate to
+    a few ulps for real z; the log form covers the rest of the range)."""
+    g = _lanczos_direct(z)
+    return g if g is not None else _exp(_lanczos_log(z), "Gamma", z)
+
+
+def _rgamma_right(z: complex) -> complex:
+    """1/Gamma(z) for Re(z) >= 0.5; underflows to 0 where Gamma overflows."""
+    g = _lanczos_direct(z)
+    return 1.0 / g if g is not None else _exp(-_lanczos_log(z), "1/Gamma", z)
 
 
 def _gamma_nopole(s: complex) -> complex:
     """Gamma(s); caller guarantees s is not at a pole."""
     if s.real >= 0.5:
         return _lanczos_right(s)
-    return math.pi / (_sinpi(s) * _lanczos_right(1.0 - s))
+    return math.pi / _sinpi(s) * _rgamma_right(1.0 - s)
 
 
 def gamma_complex(s) -> complex:
@@ -112,22 +170,25 @@ def reciprocal_gamma(s) -> complex:
     """Entire function 1/Gamma(s); exactly 0 at non-positive integers."""
     s = complex(s)
     if s.real >= 0.5:
-        return 1.0 / _lanczos_right(s)
-    return _sinpi(s) * _lanczos_right(1.0 - s) / math.pi
+        return _rgamma_right(s)
+    sp = _sinpi(s)
+    if sp == 0.0:
+        return 0j
+    return sp * _lanczos_right(1.0 - s) / math.pi
 
 
 # ---------------------------------------------------------------------------
 # Upper incomplete gamma
 # ---------------------------------------------------------------------------
 
-def _igamma_cf(a: complex, x: float) -> complex:
-    """Continued fraction (modified Lentz), good for x >= max(1, Re a + 1)."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b if abs(b) > tiny else 1.0 / tiny
-    h = d
-    for i in range(1, _CF_MAX_ITER + 1):
+def _cf_run(a: complex, x: float, i: int, b: complex, c: complex, d: complex,
+            h: complex) -> complex:
+    """Modified-Lentz continued fraction for Gamma(a, x) from step ``i`` on.
+
+    Returns the converged fraction ``h``; Gamma(a, x) = x^a e^-x h.
+    """
+    tiny = _CF_TINY
+    for i in range(i, _CF_MAX_ITER + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -140,10 +201,56 @@ def _igamma_cf(a: complex, x: float) -> complex:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) <= 1e-16:
-            return cmath.exp(a * math.log(x) - x) * h
+            return h
     raise EvaluationFailure(
         f"incomplete-gamma continued fraction stalled at a={a}, x={x}"
     )
+
+
+def _igamma_cf(a: complex, x: float) -> complex:
+    """Continued fraction, good for x >= max(1, Re a + 1), where
+    Re(x + 1 - a) >= 2 keeps the first denominator away from 0."""
+    b = x + 1.0 - a
+    h = _cf_run(a, x, 1, b, complex(1.0 / _CF_TINY), 1.0 / b, 1.0 / b)
+    return _exp(a * math.log(x) - x, "Gamma", a, x) * h
+
+
+def _igamma_cf_many(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``_igamma_cf`` over 1-D arrays: the same recurrence, one numpy step for
+    all points still iterating; the last few finish in ``_cf_run``."""
+    tiny = _CF_TINY
+    h_out = np.empty(a.size, dtype=complex)
+    idx = np.arange(a.size)
+    aa, b = a, x + 1.0 - a
+    c = np.full(a.size, 1.0 / tiny, dtype=complex)
+    d = 1.0 / b
+    h = d.copy()
+    i = 0
+    while idx.size >= _CF_SCALAR_FINISH:
+        i += 1
+        if i > _CF_MAX_ITER:
+            raise EvaluationFailure(
+                f"incomplete-gamma continued fraction stalled at a={aa[0]}"
+            )
+        an = -i * (i - aa)
+        b = b + 2.0
+        d = an * d + b
+        d[np.abs(d) < tiny] = tiny
+        c = b + an / c
+        c[np.abs(c) < tiny] = tiny
+        d = 1.0 / d
+        delta = d * c
+        h = h * delta
+        done = np.abs(delta - 1.0) <= 1e-16
+        if done.any():
+            h_out[idx[done]] = h[done]
+            live = ~done
+            idx, aa, b, c, d, h = idx[live], aa[live], b[live], c[live], d[live], h[live]
+    survivors = zip(idx.tolist(), aa.tolist(), b.tolist(), c.tolist(), d.tolist(),
+                    h.tolist())
+    for k, aj, bj, cj, dj, hj in survivors:
+        h_out[k] = _cf_run(aj, x[k], i + 1, bj, cj, dj, hj)
+    return np.exp(a * np.log(x) - x) * h_out
 
 
 def _lower_series_sum(a: complex, x: float) -> complex:
@@ -161,7 +268,8 @@ def _lower_series_sum(a: complex, x: float) -> complex:
 
 
 def _igamma_series_plain(a: complex, x: float) -> complex:
-    return _gamma_nopole(a) - cmath.exp(a * math.log(x) - x) * _lower_series_sum(a, x)
+    xa_emx = _exp(a * math.log(x) - x, "Gamma", a, x)
+    return _gamma_nopole(a) - xa_emx * _lower_series_sum(a, x)
 
 
 def _harmonic_numbers(k: int, pmax: int) -> list[float]:
@@ -270,7 +378,7 @@ def _pole_series_taylor(k: int, x: float) -> list[float]:
 def _igamma_series_pole(a: complex, k: int, x: float) -> complex:
     """Gamma(a, x) for a = -k + z with |z| <= IGAMMA_NEAR_POLE, small x."""
     z = a + k
-    xa_emx = cmath.exp(a * math.log(x) - x)
+    xa_emx = _exp(a * math.log(x) - x, "Gamma", a, x)
 
     # P = sum_{n<k} x^n / prod_{j<=n} (a+j): the terms without the 1/(a+k) pole
     p_sum = 0.0 + 0.0j
@@ -281,7 +389,8 @@ def _igamma_series_pole(a: complex, k: int, x: float) -> complex:
             t *= x / (a + n)
             p_sum += t
 
-    a0 = (-1.0 if k % 2 else 1.0) / math.factorial(k)
+    # (-1)^k / k!, which underflows to 0 past k = 170
+    a0 = (-1.0 if k % 2 else 1.0) / math.factorial(k) if k <= 170 else 0.0
     if abs(z) <= IGAMMA_TAYLOR_WINDOW:
         deltas = _pole_series_taylor(k, x)
         poly = 0.0 + 0.0j
@@ -291,7 +400,7 @@ def _igamma_series_pole(a: complex, k: int, x: float) -> complex:
     else:
         # A(z) = Gamma(a) z, via reflection with exact range reduction
         sign = -1.0 if k % 2 else 1.0
-        a_val = sign * math.pi * z / (_sinpi(z) * _lanczos_right(1.0 + k - z))
+        a_val = sign * math.pi * z / _sinpi(z) * _rgamma_right(1.0 + k - z)
         # B(z) = x^a e^-x * sum_{m>=0} x^(k+m) / (D_k(z) E_m(z))
         d = 1.0 + 0.0j
         for i in range(1, k + 1):
@@ -313,15 +422,8 @@ def _igamma_series_pole(a: complex, k: int, x: float) -> complex:
     return n_over_z - xa_emx * p_sum
 
 
-def upper_incomplete_gamma(a, x: float) -> complex:
-    """Upper incomplete gamma Gamma(a, x) for complex a and real x > 0.
-
-    Entire in ``a`` (non-positive integers included).  Relative error below
-    ~1e-12 for |a| <= 30 and 1e-4 <= x <= 700; results whose magnitude falls
-    below the smallest normal double are flushed to exact 0.
-    """
-    a = complex(a)
-    x = float(x)
+def _igamma(a: complex, x: float) -> complex:
+    """Gamma(a, x): region choice and evaluation at one point."""
     if not (x > 0.0):
         raise NonPositiveX(f"x must be > 0, got {x}")
     if x > 700.0 and (a.real - 1.0) * math.log(x) - x < IGAMMA_UNDERFLOW_LOG:
@@ -329,8 +431,43 @@ def upper_incomplete_gamma(a, x: float) -> complex:
     if x >= max(1.0, a.real + 1.0):
         return _igamma_cf(a, x)
     k = round(-a.real)
-    if k >= 0:
-        z = a + k
-        if abs(z) <= IGAMMA_NEAR_POLE:
-            return _igamma_series_pole(a, k, x)
+    if k >= 0 and abs(a + k) <= IGAMMA_NEAR_POLE:
+        return _igamma_series_pole(a, k, x)
     return _igamma_series_plain(a, x)
+
+
+def upper_incomplete_gamma(a, x: float) -> complex:
+    """Upper incomplete gamma Gamma(a, x) for complex a and real x > 0.
+
+    Entire in ``a`` (non-positive integers included).  Relative error below
+    ~1e-12 for |a| <= 30 and 1e-4 <= x <= 700; results whose magnitude falls
+    below the smallest normal double are flushed to exact 0.
+    """
+    return _igamma(complex(a), float(x))
+
+
+def upper_incomplete_gamma_many(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """:func:`upper_incomplete_gamma` at every pair of the 1-D complex array
+    ``a`` and the 1-D real array ``x``: the ``(a.size, x.size)`` array of
+    Gamma(a_i, x_j), with the same regions, flush and accuracy.
+    """
+    shape = (a.size, x.size)
+    a = np.repeat(a.astype(complex), x.size)
+    x = np.tile(x.astype(float), shape[0])
+    if not (x > 0.0).all():
+        raise NonPositiveX(f"x must be > 0, got {x[~(x > 0.0)][0]}")
+    out = np.zeros(a.size, dtype=complex)
+    cf = x >= np.maximum(1.0, a.real + 1.0)
+    flush = x > 700.0
+    if flush.any():
+        flush &= (a.real - 1.0) * np.log(x) - x < IGAMMA_UNDERFLOW_LOG
+        cf &= ~flush
+    if cf.any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = _igamma_cf_many(a[cf], x[cf])
+        if not np.isfinite(vals).all():
+            raise EvaluationFailure("incomplete gamma overflows the double range")
+        out[cf] = vals
+    for k in np.flatnonzero(~(cf | flush)).tolist():
+        out[k] = _igamma(complex(a[k]), float(x[k]))
+    return out.reshape(shape)

@@ -21,6 +21,26 @@ manifestly regular at s = 0 (value exactly -1) and at the negative integers
 (trivial zeros).  The weighted variant uses the two-term Fourier transform
 of the weighted Gaussian and carries its pole at s = n/2 + 1.
 
+The split is balanced by homogeneity: with c = det(Q)^(1/n),
+
+    zeta(Q, s) = c^-s zeta(Q/c, s),   zeta(Q, B, s) = c^-s zeta(Q/c, B, s),
+
+and Q/c has determinant 1, so its ellipsoids and those of its inverse hold
+about as many points at equal radius.  This is the same as splitting the
+Mellin integral of theta*(Q, t) at t = 1/c instead of t = 1 (Ewald's choice
+of splitting parameter).  The det-1 form is cached on the ``SPDForm``, so every
+evaluation on one form shares it and its enumerations.
+
+The continued evaluators take a scalar ``s`` or a 1-D array of points, and
+return values of the same shape (a scalar is a batch of one).  A batch
+enumerates each side of the split once, at the largest radius any point
+needs; every point gets its own tail bound at that radius and its own
+compensated sum, so a result does not depend on the rest of its batch
+beyond the extra (bounded) terms summed.  The incomplete gammas of a batch
+are one :func:`~zetasolve.specfun.upper_incomplete_gamma_many` call per
+side.  Values that overflow the double range raise
+:class:`~zetasolve.errors.EvaluationFailure`.
+
 The vector-valued zeta of an invertible matrix A and vector b,
 
     zeta(A, b, s) = sum' |A w|^(-2s) <b, w> A w,
@@ -43,6 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     EvaluationFailure,
     OutsideConvergence,
     SingularMatrix,
@@ -60,7 +81,7 @@ from .quadforms import (
     sym_outer,
     trace_product,
 )
-from .specfun import gamma_complex, reciprocal_gamma, upper_incomplete_gamma
+from .specfun import gamma_complex, reciprocal_gamma, upper_incomplete_gamma_many
 from .theta import enumerate_ellipsoid
 from .tolerances import (
     POLE_EXCLUSION,
@@ -76,10 +97,13 @@ _DIRECT_CAP = 40_000_000
 
 @dataclass(frozen=True)
 class ZetaValue:
-    """A zeta evaluation together with a rigorous truncation bound."""
+    """A zeta evaluation together with a rigorous truncation bound.
 
-    value: complex
-    abs_error: float
+    For an array of points both fields are arrays of the same shape.
+    """
+
+    value: complex | np.ndarray
+    abs_error: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -131,7 +155,10 @@ def _csum(values: np.ndarray) -> complex:
 
 
 def _pi_pow(s: complex) -> complex:
-    return cmath.exp(s * _LOG_PI)
+    try:
+        return cmath.exp(s * _LOG_PI)
+    except OverflowError:
+        raise EvaluationFailure(f"pi^s overflows the double range at s={s}") from None
 
 
 def _split_tail_bound(form: SPDForm, sigma: float, R: float, coef: float) -> float:
@@ -161,38 +188,93 @@ def _split_radius(form: SPDForm, sigma: float, coef: float) -> float:
     return float(math.ceil(R))
 
 
-def _unique_gamma_terms(ep, a: complex):
-    """Per-unique-q values of ``(pi q)^-a Gamma(a, pi q)`` plus shell index."""
+def _unique_gamma_terms(ep, a: np.ndarray):
+    """Values of ``(pi q)^-a Gamma(a, pi q)`` per point of ``a`` (rows) and
+    unique q (columns), plus the shell index of every enumerated point."""
     uq, inv_idx = np.unique(ep.qvals, return_inverse=True)
     x = math.pi * uq
-    gam = np.fromiter(
-        (upper_incomplete_gamma(a, xi) for xi in x), dtype=complex, count=x.size
-    )
-    vals = np.exp(-a * np.log(x)) * gam
+    gam = upper_incomplete_gamma_many(a, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.exp(-a[:, None] * np.log(x)) * gam
     return inv_idx, vals
 
 
-def _half_sum(form: SPDForm, a: complex, weight: np.ndarray | None = None):
-    """One side of a split-Mellin sum; returns (value, tail bound)."""
-    sigma = a.real
-    if weight is None:
-        coef = 0.0
-    else:
-        coef = float(np.linalg.norm(weight, 2)) / form.min_eigenvalue
-        if coef == 0.0:
-            return 0.0 + 0.0j, 0.0
-    R = _split_radius(form, sigma, coef)
+def _half_sum(form: SPDForm, a: np.ndarray, weights: list[np.ndarray] | None = None):
+    """One side of a split-Mellin sum at every point of ``a``.
+
+    Returns ``(sums, tails)``: ``sums`` has shape ``(m,)`` without weights
+    and ``(m, k)`` for ``k`` weight matrices, not all zero; ``tails`` has
+    shape ``(m,)``.
+    """
+    coef = 0.0
+    if weights is not None:
+        coef = max(float(np.linalg.norm(W, 2)) for W in weights) / form.min_eigenvalue
+    sigmas = a.real.tolist()
+    R = max(_split_radius(form, sigma, coef) for sigma in sigmas)
     ep = enumerate_ellipsoid(form, R)
-    tail = _split_tail_bound(form, sigma, R, coef)
-    if len(ep) == 0:
-        return 0.0 + 0.0j, tail
-    inv_idx, vals = _unique_gamma_terms(ep, a)
-    if weight is None:
-        mult = np.bincount(inv_idx, minlength=vals.size).astype(float)
-    else:
-        w = qeval_many(weight, ep.points)
-        mult = np.bincount(inv_idx, weights=w, minlength=vals.size)
-    return _csum(mult * vals), tail
+    tails = np.array([_split_tail_bound(form, sigma, R, coef) for sigma in sigmas])
+    sums = np.zeros((a.size, 1 if weights is None else len(weights)), dtype=complex)
+    if len(ep) > 0:
+        inv_idx, vals = _unique_gamma_terms(ep, a)
+        if weights is None:
+            mult = [np.bincount(inv_idx, minlength=vals.shape[1]).astype(float)]
+        else:
+            mult = [np.bincount(inv_idx, weights=qeval_many(W, ep.points),
+                                minlength=vals.shape[1]) for W in weights]
+        for i, row in enumerate(vals):
+            for j, w in enumerate(mult):
+                sums[i, j] = _csum(w * row)
+    return (sums[:, 0] if weights is None else sums), tails
+
+
+def _points(s) -> tuple[np.ndarray, bool]:
+    """``s`` as a 1-D complex array, and whether it was a single number."""
+    arr = np.asarray(s, dtype=complex)
+    if arr.ndim > 1 or arr.size == 0:
+        raise DimensionMismatch(f"s must be a number or a 1-D array, got shape {arr.shape}")
+    return arr.reshape(-1), arr.ndim == 0
+
+
+def _exclude_pole(s: np.ndarray, pole: float, name: str) -> None:
+    near = np.abs(s - pole) <= POLE_EXCLUSION
+    if near.any():
+        raise TooCloseToPole(
+            f"s={complex(s[near][0])} is within {POLE_EXCLUSION} of the pole {name}")
+
+
+def _rescaled(Qf: SPDForm, s: np.ndarray, value: np.ndarray, err: np.ndarray):
+    """Undo the det-1 rescaling: multiply by ``c^-s``, c = det(Q)^(1/n).
+
+    The error bar scales with it and gains the rounding of ``c^-s`` itself,
+    whose exponent is exact only to ``eps |s log c|``.  A non-finite value
+    or bound raises, so no overflowed number is returned.
+    """
+    log_c = math.log(Qf.det) / Qf.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.exp(-s * log_c)
+        rel = 1e-15 * abs(log_c) * np.abs(s)
+        if value.ndim == 2:
+            scale, rel = scale[:, None], rel[:, None]
+        value = scale * value
+        err = np.abs(scale) * err + rel * np.abs(value)
+    bad = ~(np.isfinite(value) & np.isfinite(err))
+    if bad.any():
+        where = complex(s[np.nonzero(bad)[0][0]])
+        raise EvaluationFailure(f"zeta value at s={where} overflows the double range")
+    return value, err
+
+
+def _zeta_value(value, err, single: bool) -> ZetaValue:
+    if single:
+        return ZetaValue(complex(value[0]), float(err[0]))
+    return ZetaValue(value, err)
+
+
+def _prefactors(s: np.ndarray):
+    """``(pi^s, 1/Gamma(s))`` at every point."""
+    pis = np.array([_pi_pow(z) for z in s.tolist()], dtype=complex)
+    rg = np.array([reciprocal_gamma(z) for z in s.tolist()], dtype=complex)
+    return pis, rg
 
 
 # ---------------------------------------------------------------------------
@@ -269,95 +351,68 @@ def weighted_direct(Q, B, s, tol: float) -> ZetaValue:
 def epstein_continued(Q, s) -> ZetaValue:
     """``zeta(q_Q, s)`` everywhere except the pole at s = n/2.
 
-    At s = 0 the folded prefactor gives the exact special value -1; at the
-    negative integers it produces the trivial zeros.
+    ``s`` is a number or a 1-D array of points (then both fields of the
+    result are arrays).  At s = 0 the folded prefactor gives the exact
+    special value -1; at the negative integers it produces the trivial zeros.
     """
+    s, single = _points(s)
     Qf = _as_spd(Q)
-    s = complex(s)
     n = Qf.n
-    if abs(s - n / 2.0) <= POLE_EXCLUSION:
-        raise TooCloseToPole(f"s={s} is within {POLE_EXCLUSION} of the pole n/2")
-    inv_f = Qf.inverse_form()
-    s_dual = n / 2.0 - s
-    sum_main, tail_main = _half_sum(Qf, s)
-    sum_dual, tail_dual = _half_sum(inv_f, s_dual)
-    droot = 1.0 / Qf.sqrt_det
+    _exclude_pole(s, n / 2.0, "n/2")
+    unit = Qf.unit_form()
+    sum_main, tail_main = _half_sum(unit, s)
+    sum_dual, tail_dual = _half_sum(unit.inverse_form(), n / 2.0 - s)
+    droot = 1.0 / unit.sqrt_det
     bracket = sum_main + droot * sum_dual + droot / (s - n / 2.0)
-    rg = reciprocal_gamma(s)
-    pis = _pi_pow(s)
-    value = pis * (rg * bracket - reciprocal_gamma(s + 1.0))
-    err = abs(pis) * abs(rg) * (tail_main + droot * tail_dual)
-    err += 1e-15 * (1.0 + abs(value))
-    return ZetaValue(value, err)
+    pis, rg = _prefactors(s)
+    rg1 = np.array([reciprocal_gamma(z + 1.0) for z in s.tolist()], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # _rescaled checks the result
+        value = pis * (rg * bracket - rg1)
+        err = np.abs(pis) * np.abs(rg) * (tail_main + droot * tail_dual)
+        err += 1e-15 * (1.0 + np.abs(value))
+    return _zeta_value(*_rescaled(Qf, s, value, err), single)
 
 
-def _weighted_many(Qf: SPDForm, mats: list[np.ndarray], s: complex) -> list[ZetaValue]:
+def _weighted_many(Qf: SPDForm, mats: list[np.ndarray], s: np.ndarray,
+                   single: bool) -> list[ZetaValue]:
     """weighted_continued for several weights sharing all lattice data."""
     n = Qf.n
-    if abs(s - (n / 2.0 + 1.0)) <= POLE_EXCLUSION:
-        raise TooCloseToPole(f"s={s} is within {POLE_EXCLUSION} of the pole n/2+1")
-    sig = s - 1.0
-    inv_f = Qf.inverse_form()
-    droot = 1.0 / Qf.sqrt_det
+    _exclude_pole(s, n / 2.0 + 1.0, "n/2+1")
+    if all(not B.any() for B in mats):
+        zero = np.zeros(s.size, dtype=complex)
+        return [_zeta_value(zero, zero.real, single) for _ in mats]
+    unit = Qf.unit_form()
+    inv_f = unit.inverse_form()
+    droot = 1.0 / unit.sqrt_det
     cs = []
-    trs = []
     for Bm in mats:
-        c = Qf.inv @ Bm @ Qf.inv
+        c = unit.inv @ Bm @ unit.inv
         cs.append((c + c.T) / 2.0)
-        trs.append(trace_product(Qf, Bm))
+    tr = np.array([trace_product(unit, Bm) for Bm in mats]) / (2.0 * math.pi)
 
-    a_main = s
-    a_poly = n / 2.0 - sig + 1.0
-    a_gauss = n / 2.0 - sig
+    sig = s - 1.0
+    sum_main, tail_main = _half_sum(unit, s, mats)
+    sum_poly, tail_poly = _half_sum(inv_f, n / 2.0 - sig + 1.0, cs)
+    sum_gauss, tail_gauss = _half_sum(inv_f, n / 2.0 - sig)
 
-    lam_q = Qf.min_eigenvalue
-    lam_i = inv_f.min_eigenvalue
-    coef_main = max(float(np.linalg.norm(B, 2)) for B in mats) / lam_q
-    coef_poly = max(float(np.linalg.norm(C, 2)) for C in cs) / lam_i
-    if coef_main == 0.0:
-        return [ZetaValue(0.0 + 0.0j, 0.0) for _ in mats]
-
-    ep_main = enumerate_ellipsoid(Qf, _split_radius(Qf, a_main.real, coef_main))
-    ep_poly = enumerate_ellipsoid(inv_f, _split_radius(inv_f, a_poly.real, coef_poly))
-    ep_gauss = enumerate_ellipsoid(inv_f, _split_radius(inv_f, a_gauss.real, 0.0))
-
-    idx_main, val_main = _unique_gamma_terms(ep_main, a_main)
-    idx_poly, val_poly = _unique_gamma_terms(ep_poly, a_poly)
-    idx_gauss, val_gauss = _unique_gamma_terms(ep_gauss, a_gauss)
-    mult_gauss = np.bincount(idx_gauss, minlength=val_gauss.size).astype(float)
-    sum_gauss = _csum(mult_gauss * val_gauss)
-
-    tail_main = _split_tail_bound(Qf, a_main.real, ep_main.radius, coef_main)
-    tail_poly = _split_tail_bound(inv_f, a_poly.real, ep_poly.radius, coef_poly)
-    tail_gauss = _split_tail_bound(inv_f, a_gauss.real, ep_gauss.radius, 0.0)
-
-    rg = reciprocal_gamma(s)
-    pis = _pi_pow(s)
-    pref = pis * rg
-    two_pi = 2.0 * math.pi
-    out = []
-    for Bm, c, tr in zip(mats, cs, trs):
-        w1 = np.bincount(idx_main, weights=qeval_many(Bm, ep_main.points),
-                         minlength=val_main.size)
-        w2 = np.bincount(idx_poly, weights=qeval_many(c, ep_poly.points),
-                         minlength=val_poly.size)
-        s1 = _csum(w1 * val_main)
-        s2 = _csum(w2 * val_poly)
-        bracket = (s1 - droot * s2 + (tr / two_pi) * droot * sum_gauss
-                   + (tr / two_pi) * droot / (sig - n / 2.0))
+    pis, rg = _prefactors(s)
+    pref = (pis * rg)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # _rescaled checks the result
+        bracket = (sum_main - droot * sum_poly
+                   + tr * droot * (sum_gauss + 1.0 / (sig - n / 2.0))[:, None])
         value = pref * bracket
-        err = abs(pref) * (tail_main + droot * tail_poly
-                           + abs(tr / two_pi) * droot * tail_gauss)
-        err += 1e-15 * (1.0 + abs(value))
-        out.append(ZetaValue(value, err))
-    return out
+        err = np.abs(pref) * ((tail_main + droot * tail_poly)[:, None]
+                              + np.abs(tr) * droot * tail_gauss[:, None])
+        err += 1e-15 * (1.0 + np.abs(value))
+    value, err = _rescaled(Qf, s, value, err)
+    return [_zeta_value(value[:, j], err[:, j], single) for j in range(len(mats))]
 
 
 def weighted_continued(Q, B, s) -> ZetaValue:
     """``zeta(q_Q, q_B, s)`` everywhere except the pole at s = n/2 + 1."""
     Qf = _as_spd(Q)
     Bm = as_symmetric(B, Qf.n)
-    return _weighted_many(Qf, [Bm], complex(s))[0]
+    return _weighted_many(Qf, [Bm], *_points(s))[0]
 
 
 def lattice_zeta(L, Q, s) -> ZetaValue:
@@ -383,7 +438,8 @@ def vector_zeta(A, b, s) -> list[ZetaValue]:
     """Vector zeta ``sum' |A w|^(-2s) <b, w> A w``, one ZetaValue per component.
 
     Component j reduces to a weighted zeta of the Gram form A^T A with the
-    rank-two weight ``sym_outer(b, A^T e_j)``.
+    rank-two weight ``sym_outer(b, A^T e_j)``.  ``s`` is a number or a 1-D
+    array of points, as for :func:`weighted_continued`.
     """
     Am = as_square(A)
     n = Am.shape[0]
@@ -391,14 +447,9 @@ def vector_zeta(A, b, s) -> list[ZetaValue]:
     det = float(np.linalg.det(Am))
     if not math.isfinite(det) or abs(det) <= SINGULAR_DET_MIN:
         raise SingularMatrix("vector zeta needs an invertible matrix")
-    s = complex(s)
     gram = _as_spd(gram_transform(np.eye(n), Am))
-    if not bv.any():
-        if abs(s - (n / 2.0 + 1.0)) <= POLE_EXCLUSION:
-            raise TooCloseToPole(f"s={s} is within {POLE_EXCLUSION} of the pole")
-        return [ZetaValue(0.0 + 0.0j, 0.0) for _ in range(n)]
     mats = [sym_outer(bv, Am[j, :]) for j in range(n)]
-    return _weighted_many(gram, mats, s)
+    return _weighted_many(gram, mats, *_points(s))
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +490,16 @@ def residue_vector(A, b) -> PoleReport:
     return PoleReport(location=n / 2.0 + 1.0, residue=res, source="analytic")
 
 
-def _node_value(val):
-    """One evaluator result as a complex, or a complex array for vector values."""
+def _node_values(val, m: int) -> np.ndarray:
+    """An evaluator's result as a complex array with the node axis first."""
     if isinstance(val, list):
-        return np.array([getattr(v, "value", v) for v in val], dtype=complex)
-    val = getattr(val, "value", val)
-    if isinstance(val, np.ndarray) and val.ndim:
-        return val.astype(complex)
-    return complex(val)
+        val = np.stack([np.asarray(getattr(v, "value", v)) for v in val], axis=-1)
+    val = np.asarray(getattr(val, "value", val))
+    if val.ndim not in (1, 2) or val.shape[0] != m:
+        raise DimensionMismatch(
+            f"evaluator returned shape {val.shape} for {m} nodes; "
+            f"expected ({m},) or ({m}, k)")
+    return val.astype(complex)
 
 
 def residue_numeric(evaluator, s0: float, rho: float = RESIDUE_RHO,
@@ -456,22 +509,29 @@ def residue_numeric(evaluator, s0: float, rho: float = RESIDUE_RHO,
     ``residue ~ (rho/m) sum_k f(s0 + rho e^(i theta_k)) e^(i theta_k)`` with
     equispaced nodes; exponentially accurate in ``m`` for a simple pole.
 
-    ``evaluator(s)`` may return a number, a :class:`ZetaValue`, a list of
-    ``ZetaValue`` (as :func:`vector_zeta` does) or a 1-D array.  Scalar
-    results give a complex residue.  List and array results give an
-    ``ndarray`` residue: the sum runs over all components at once, in node
-    order, so each node is evaluated once for the whole vector.
+    ``evaluator`` is called once, with the 1-D complex array of the ``m``
+    nodes, and returns values with the node axis first: an array of shape
+    ``(m,)`` or ``(m, k)``, a :class:`ZetaValue` holding such an array, or a
+    list of ``k`` of those (as :func:`vector_zeta` returns for an array of
+    points).  Every continued evaluator of this module qualifies.  ``(m,)``
+    results give a complex residue, the others an ``ndarray`` of ``k``
+    residues; the sum runs in node order.
     """
+    nodes = [cmath.exp(1j * (2.0 * math.pi * k / m)) for k in range(m)]
+    z = s0 + rho * np.array(nodes)
+    try:
+        val = evaluator(z)
+    except Exception as exc:  # noqa: BLE001 - reported as EvaluationFailure
+        raise EvaluationFailure(
+            f"evaluator failed on the contour |s - {s0}| = {rho}: {exc}") from exc
+    vals = _node_values(val, m)
     total = 0.0 + 0.0j
-    for k in range(m):
-        theta = 2.0 * math.pi * k / m
-        z = s0 + rho * cmath.exp(1j * theta)
-        try:
-            val = evaluator(z)
-        except Exception as exc:  # noqa: BLE001 - reported as EvaluationFailure
-            raise EvaluationFailure(f"evaluator failed at node {z}: {exc}") from exc
-        total += _node_value(val) * cmath.exp(1j * theta)
-    return PoleReport(location=float(s0), residue=total * rho / m, source="numeric")
+    for row, e in zip(vals, nodes):
+        total = total + row * e
+    residue = total * rho / m
+    if vals.ndim == 1:
+        residue = complex(residue)
+    return PoleReport(location=float(s0), residue=residue, source="numeric")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath as mp
 import pytest
 
 from zetasolve.cli import main
@@ -13,8 +14,9 @@ def run_cli(capsys, *argv):
 
 
 def write(tmp_path, name, payload):
+    """Write a payload as JSON; a string is written as it is."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -44,6 +46,21 @@ def test_zeta_pole_exit(tmp_path, capsys):
     code, _, err = run_cli(capsys, "zeta", "-i", path)
     assert code == 3
     assert "pole" in err
+
+
+@pytest.mark.parametrize("s", [200.5, -200.5])
+def test_zeta_far_from_origin_exits_documented(tmp_path, capsys, s):
+    # Gamma(s) and Gamma(n/2 - s) leave the double range here: the value is
+    # either checked against the closed form 4 zeta(s) beta(s) or refused
+    path = write(tmp_path, "in.json", {"Q": I2, "s": s})
+    code, out, err = run_cli(capsys, "zeta", "-i", path)
+    assert code in (0, 4)
+    if code == 4:
+        assert err.startswith("evaluation failed:")
+        return
+    rec = json.loads(out.strip())
+    want = complex(4 * mp.zeta(s) * mp.dirichlet(s, [0, 1, 0, -1]))
+    assert abs(complex(rec["value_re"], rec["value_im"]) - want) <= rec["abs_error"]
 
 
 def test_zeta_unknown_field_rejected(tmp_path, capsys):
@@ -266,6 +283,8 @@ LATTICE_CASE = {"check": "funceq_lattice", "Q": I2, "s": 0.6}
     ("zeta", {"Q": I2, "s": 3, "tolerance": 1e-300}),
     ("scan", {"Q": I2, "s_start": 2.0, "s_end": 3.0, "steps": 10 ** 400}),
     ("bench", {"repeat": 10 ** 400}),
+    ("scan", '{"Q": [[1, 0], [0, 1]], "s_start": 2, "s_end": 3, "steps": 1'
+             + "0" * 5000 + "}"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, command, payload):
     path = write(tmp_path, "in.json", payload)

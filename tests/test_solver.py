@@ -109,7 +109,20 @@ def test_numeric_residue_solve_examples():
     r = numeric_residue_solve(A22, B22)
     assert np.allclose(r.x, [1.0, 3.0], atol=1e-7)
     with pytest.raises(ValidationError):
-        numeric_residue_solve(np.eye(4), np.ones(4))
+        numeric_residue_solve(np.eye(6), np.ones(6))
+
+
+@pytest.mark.parametrize("a, b", [
+    ([[2, 1, 0, 0], [0, 3, 1, 0], [1, 0, 2, -1], [0, 1, 0, 2]], [1, -2, 3, 1]),
+    ([[3, 1, 0, 0, 1], [0, 2, 1, 0, 0], [1, 0, 3, -1, 0], [0, 1, 0, 2, 1],
+      [-1, 0, 1, 0, 3]], [2, 0, -1, 1, 3]),
+])
+def test_numeric_residue_solve_n4_n5(a, b):
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    r = numeric_residue_solve(a, b)
+    assert r.method["route"] == "numeric_residue"
+    assert np.max(np.abs(r.x - solve_direct(a, b))) <= 1e-7 * np.max(np.abs(r.x_reference))
 
 
 def test_route_agreement_random_suite():

@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from zetasolve.errors import NonPositiveX, PoleOfGamma
-from zetasolve.specfun import gamma_complex, reciprocal_gamma, upper_incomplete_gamma
+from zetasolve.errors import EvaluationFailure, NonPositiveX, PoleOfGamma
+from zetasolve.specfun import (
+    _CF_SCALAR_FINISH,
+    gamma_complex,
+    reciprocal_gamma,
+    upper_incomplete_gamma,
+    upper_incomplete_gamma_many,
+)
 
 mp.mp.dps = 40
 
@@ -164,3 +170,71 @@ def test_igamma_errors_and_underflow():
     assert upper_incomplete_gamma(1.0, 800.0) == 0.0
     # large positive a keeps x=800 well above underflow
     assert abs(upper_incomplete_gamma(30.0, 701.0)) > 0.0
+
+
+def _igamma_grid():
+    """The a values over Re a in [-6, 6], |Im a| <= 12, with points near the
+    non-positive integers (Taylor and pole-series windows), and for each a
+    the x values on both sides of max(1, Re a + 1), down to 1e-3 and past
+    the x > 700 flush."""
+    rng = np.random.default_rng(505)
+    a_vals = list(rng.uniform(-6.0, 6.0, 24) + 1j * rng.uniform(-12.0, 12.0, 24))
+    a_vals += [3.0, 0.5, -2.5 + 11.0j, 6.0 - 12.0j]
+    for k in range(0, 7):
+        a_vals += [-k + 4e-3, -k - 6e-3j, -k + 0.25, -k - 0.3 + 0.2j]
+    grid = []
+    for a in a_vals:
+        edge = max(1.0, a.real + 1.0)
+        grid.append((complex(a), [1e-3, 0.3, 0.97 * edge, edge, 1.03 * edge,
+                                  40.0, 699.0, 701.0, 750.0]))
+    return grid
+
+
+def _check_many(a, x):
+    got = upper_incomplete_gamma_many(a, x)
+    ref = np.array([[upper_incomplete_gamma(ai, xj) for xj in x] for ai in a])
+    assert got.shape == ref.shape == (a.size, x.size)
+    assert np.all((got == 0.0) == (ref == 0.0))
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+    return ref
+
+
+def test_igamma_many_matches_scalar():
+    grid = _igamma_grid()
+    # one pair, and one a with its 9 x values: below the cut-off from the start
+    for a, xs in grid:
+        assert len(xs) < _CF_SCALAR_FINISH
+        _check_many(np.array([a]), np.array(xs))
+        for x in xs:
+            _check_many(np.array([a]), np.array([x]))
+    a = np.array([a for a, _ in grid])
+    # every a against every x: compaction, then the scalar finish
+    x = np.unique(np.concatenate([xs for _, xs in grid]))
+    ref = _check_many(a, x)
+    assert (ref == 0.0).any() and (ref != 0.0).any()  # the flush is on the grid
+
+
+def test_igamma_many_shape_and_validation():
+    a = np.array([0.5, 2.0 + 1.0j, -1.0])
+    x = np.array([0.1, 1.5, 9.0, 30.0])
+    _check_many(a, x)
+    assert upper_incomplete_gamma_many(a, x[:0]).shape == (3, 0)
+    with pytest.raises(NonPositiveX):
+        upper_incomplete_gamma_many(a, np.array([1.0, 0.0, 2.0]))
+
+
+def test_gamma_overflow_is_a_package_error():
+    # 1/Gamma underflows to 0; Gamma and Gamma(a, x) beyond the double range raise
+    assert reciprocal_gamma(200.5) == 0.0
+    assert reciprocal_gamma(-200.0) == 0.0
+    assert 0.0 < abs(reciprocal_gamma(172.0)) < 1e-300
+    assert gamma_complex(170.0).real == pytest.approx(math.gamma(170.0), rel=1e-12)
+    # near a = -600 the pole series' 1/k! underflows to 0 instead of raising
+    ref = mp_igamma(-600.004, 0.7)
+    assert abs(upper_incomplete_gamma(-600.004, 0.7) - ref) <= 1e-12 * abs(ref)
+    for call in (lambda: gamma_complex(200.5), lambda: reciprocal_gamma(-200.5),
+                 lambda: upper_incomplete_gamma(200.5, 3.0),
+                 lambda: upper_incomplete_gamma(200.0, 250.0),
+                 lambda: upper_incomplete_gamma_many(np.array([200.0]), np.array([250.0]))):
+        with pytest.raises(EvaluationFailure):
+            call()

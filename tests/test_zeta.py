@@ -1,10 +1,10 @@
-import functools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from zetasolve.errors import OutsideConvergence, TooCloseToPole
+from zetasolve.errors import DimensionMismatch, OutsideConvergence, TooCloseToPole
 from zetasolve.quadforms import Lattice, cholesky, sym_outer
 from zetasolve.theta import enumerate_ellipsoid
 from zetasolve.zeta import (
@@ -163,6 +163,61 @@ def test_continued_homogeneity():
             assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
 
 
+HEX = np.array([[1.0, 0.5], [0.5, 1.0]])
+I4 = np.eye(4)
+
+
+def _oracle(name, s):
+    """Closed forms: I2 -> 4 zeta(s) L(s, chi_-4), hexagonal -> 6 zeta(s)
+    L(s, chi_-3), I4 -> 8 (1 - 4^(1-s)) zeta(s) zeta(s-1)."""
+    z = mp.mpc(s)
+    with mp.workdps(30):
+        if name == "I2":
+            return complex(4 * mp.zeta(z) * mp.dirichlet(z, [0, 1, 0, -1]))
+        if name == "hex":
+            return complex(6 * mp.zeta(z) * mp.dirichlet(z, [0, 1, -1]))
+        return complex(8 * (1 - mp.power(4, 1 - z)) * mp.zeta(z) * mp.zeta(z - 1))
+
+
+@pytest.mark.parametrize("name, q", [("I2", I2), ("hex", HEX), ("I4", I4)])
+def test_continued_homogeneity_against_oracles(name, q):
+    # zeta(cQ, s) = c^-s zeta(Q, s), checked against c^-s times the closed
+    # form within the claimed error bar; |Im s| stays below 2, where the
+    # bars hold (above it they are known to be too small)
+    for c in (0.05, 30.0):
+        for s in (3.5, 0.3 + 0.5j, -1.5 + 0.25j, 2.6 - 1.2j):
+            got = epstein_continued(c * q, s)
+            want = c ** (-complex(s)) * _oracle(name, s)
+            assert abs(got.value - want) <= got.abs_error, (c, s)
+
+
+def test_continued_batch_matches_single_points():
+    # a batch enumerates once at the largest radius its points need, so it
+    # agrees with one-point calls within the error bars, not bitwise
+    s = np.array([2.5 + 0.3j, 0.3 + 1.0j, -1.5, 3.0 - 2.0j])
+    q = np.array([[2.0, 1.0], [1.0, 3.0]])
+    batch = epstein_continued(q, s)
+    assert batch.value.shape == batch.abs_error.shape == (4,)
+    for k, sk in enumerate(s):
+        one = epstein_continued(q, sk)
+        assert isinstance(one.value, complex) and isinstance(one.abs_error, float)
+        assert abs(batch.value[k] - one.value) <= batch.abs_error[k] + one.abs_error
+    a = np.array([[2.0, 1.0], [0.0, 3.0]])
+    vec = vector_zeta(a, [1.0, -2.0], s + 1.0)
+    for k, sk in enumerate(s):
+        for j, one in enumerate(vector_zeta(a, [1.0, -2.0], sk + 1.0)):
+            assert abs(vec[j].value[k] - one.value) <= vec[j].abs_error[k] + one.abs_error
+
+
+def test_continued_rejects_bad_point_shapes():
+    with pytest.raises(DimensionMismatch):
+        epstein_continued(I2, np.ones((2, 2)))
+    with pytest.raises(DimensionMismatch):
+        weighted_continued(I2, I2, np.array([]))
+    with pytest.raises(TooCloseToPole):
+        epstein_continued(I2, np.array([3.0, 1.0 + 1e-7]))
+
+
 def test_weighted_zero_matrix():
     for s in (4.0, 0.3, -1.7):
         assert weighted_continued(I2, np.zeros((2, 2)), s).value == 0.0
@@ -262,7 +317,7 @@ def test_residue_numeric_rational_function():
     rep = residue_numeric(lambda s: 1.0 / (s - 2.0), 2.0)
     assert abs(rep.residue - 1.0) < 1e-12
     assert rep.source == "numeric"
-    rep = residue_numeric(lambda s: np.array([1.0, -3.0]) / (s - 2.0), 2.0)
+    rep = residue_numeric(lambda s: np.array([1.0, -3.0]) / (s[:, None] - 2.0), 2.0)
     assert isinstance(rep.residue, np.ndarray)
     assert np.max(np.abs(rep.residue - [1.0, -3.0])) < 1e-12
 
@@ -277,6 +332,23 @@ def test_residue_numeric_matches_analytic():
     assert abs(num - math.pi / 6.0) < 1e-8
 
 
+def test_residue_numeric_calls_evaluator_once():
+    calls = []
+
+    def evaluator(s):
+        calls.append(s.shape)
+        return epstein_continued(I2, s)
+
+    rep = residue_numeric(evaluator, 1.0)
+    assert calls == [(16,)]
+    assert abs(rep.residue - math.pi) < 1e-8
+    rep = residue_numeric(lambda s: vector_zeta(I2, [1.0, 0.0], s), 2.0, m=12)
+    assert rep.residue.shape == (2,)
+    assert np.max(np.abs(rep.residue - [math.pi / 2.0, 0.0])) < 1e-8
+    with pytest.raises(DimensionMismatch):
+        residue_numeric(lambda s: np.ones(3), 1.0)
+
+
 @pytest.mark.parametrize("a, b", [
     (np.array([[2.0, 1.0], [1.0, 3.0]]), [5.0, 10.0]),
     (np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [1.0, 0.0, 2.0]]), [1.0, 0.0, -1.0]),
@@ -287,9 +359,9 @@ def test_residue_numeric_vector_evaluator(a, b):
     n = a.shape[0]
     rep = residue_numeric(lambda s: vector_zeta(a, b, s), n / 2.0 + 1.0)
     assert isinstance(rep.residue, np.ndarray) and rep.residue.shape == (n,)
-    values = functools.lru_cache(maxsize=None)(lambda s: vector_zeta(a, b, s))
     for j in range(n):
-        scalar = residue_numeric(lambda s: values(s)[j].value, n / 2.0 + 1.0).residue
+        scalar = residue_numeric(lambda s: vector_zeta(a, b, s)[j].value,
+                                 n / 2.0 + 1.0).residue
         assert isinstance(scalar, complex)
         assert abs(rep.residue[j] - scalar) <= 1e-15
     analytic = np.asarray(residue_vector(a, b).residue)
