@@ -41,7 +41,6 @@ from .quadforms import (
     dual_lattice,
     gram_transform,
     matrix_from_json,
-    matrix_to_json,
     qeval,
     qeval_many,
     sym_outer,
@@ -76,9 +75,7 @@ from .spherequad import (
 )
 from .theta import (
     EllipsoidPoints,
-    GaussianPolyFunction,
     enumerate_ellipsoid,
-    fourier_gaussian_weighted,
     theta_asymptotic_fit,
     theta_star_gaussian,
     theta_star_weighted,

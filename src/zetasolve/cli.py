@@ -156,14 +156,17 @@ def _parse_s(obj) -> complex:
     raise ValidationError(f"cannot parse s value: {obj!r}")
 
 
-def _s_points(data: dict) -> list[complex]:
-    if ("s" in data) == ("s_list" in data):
-        raise ValidationError("provide exactly one of 's' or 's_list'")
-    if "s" in data:
-        return [_parse_s(data["s"])]
-    if not isinstance(data["s_list"], list) or not data["s_list"]:
-        raise ValidationError("s_list must be a non-empty list")
-    return [_parse_s(v) for v in data["s_list"]]
+def _one_or_list(data: dict, key: str, parse: Callable) -> list:
+    """The values of exactly one of ``key`` (a value) or ``key_list`` (a
+    non-empty list of values), each read by ``parse``."""
+    many = f"{key}_list"
+    if (key in data) == (many in data):
+        raise ValidationError(f"provide exactly one of '{key}' or '{many}'")
+    if key in data:
+        return [parse(data[key])]
+    if not isinstance(data[many], list) or not data[many]:
+        raise ValidationError(f"{many} must be a non-empty list")
+    return [parse(v) for v in data[many]]
 
 
 def _parse_tolerance(data: dict, default: float) -> float:
@@ -212,15 +215,25 @@ def _zeta_family(data: dict, command: str) -> _Family:
     return _Family("epstein", evaluate, n / 2.0, lambda: residue_epstein(res_lat, q))
 
 
-_FUNCEQ_FIELDS = {"family", "Q", "B", "lattice", "A", "b", "c", "s", "s_list"}
+# the operand fields each functional-equation family reads
+_FUNCEQ_OPERANDS = {
+    "lattice": {"Q", "lattice"},
+    "weighted": {"Q", "B", "lattice"},
+    "vector": {"A", "b", "c"},
+}
+_FUNCEQ_COMMON = {"family", "s", "s_list"}
+_FUNCEQ_FIELDS = _FUNCEQ_COMMON.union(*_FUNCEQ_OPERANDS.values())
 
 
 def _funceq_request(data: dict, command: str):
     """Parse a functional-equation request; returns (family, residual fn, points)."""
     family = data.get("family")
-    if family not in ("lattice", "weighted", "vector"):
+    if not isinstance(family, str) or family not in _FUNCEQ_OPERANDS:
         raise ValidationError("family must be one of lattice / weighted / vector")
-    points = _s_points(data)
+    unread = data.keys() & (_FUNCEQ_FIELDS - _FUNCEQ_COMMON - _FUNCEQ_OPERANDS[family])
+    if unread:
+        raise ValidationError(f"the {family} family does not take {sorted(unread)}")
+    points = _one_or_list(data, "s", _parse_s)
     if family == "vector":
         a = matrix_from_json(_field(data, "A", command))
         b = vector_from_json(_field(data, "b", command))
@@ -284,7 +297,7 @@ def _emit_records(records: list[dict], fmt: str, out) -> None:
 def _cmd_zeta(args) -> int:
     data = _load_input(args.input)
     _check_keys(data, {"Q", "B", "lattice", "A", "b", "s", "s_list"}, "zeta")
-    points = _s_points(data)
+    points = _one_or_list(data, "s", _parse_s)
     family = _zeta_family(data, "zeta")
     records = []
     for s in points:
@@ -306,15 +319,10 @@ def _cmd_theta(args) -> int:
     _check_keys(data, {"Q", "B", "t", "t_list", "tol"}, "theta")
     q = matrix_from_json(_field(data, "Q", "theta"))
     bmat = matrix_from_json(data["B"]) if "B" in data else None
-    if ("t" in data) == ("t_list" in data):
-        raise ValidationError("provide exactly one of 't' or 't_list'")
-    ts = [data["t"]] if "t" in data else data["t_list"]
-    if not isinstance(ts, list):
-        ts = [ts]
+    ts = _one_or_list(data, "t", lambda t: _number(t, "t"))
     tol = _number(data.get("tol", 1e-12), "tol")
     records = []
     for t in ts:
-        t = _number(t, "t")
         if bmat is None:
             value = theta_star_gaussian(q, t, tol)
         else:

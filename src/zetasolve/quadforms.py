@@ -9,16 +9,24 @@ Conventions used throughout the package:
 * a *lattice* is ``A . Z^n`` for an invertible generator ``A``; its volume is
   ``|det A|`` and its dual is generated by ``(A^T)^{-1}``.
 
+Forms are memoized here and nowhere else: :func:`cholesky` returns the
+same ``SPDForm`` for equal symmetrized matrices, from a least-recently-used
+memo of the last 64 forms built.  Indefinite input is never memoized, so it
+raises on every call.
+
 Arrays are read-only after construction and the functions here are pure,
 but the package is not thread-safe: an ``SPDForm`` fills ``_min_eig``,
-``_inverse_form``, its det-1 rescaling ``_unit_form`` and its enumeration
-cache ``_enum_cache`` lazily on first use, and :mod:`zetasolve.zeta` keeps
-a module-level dict of forms (``_SPD_CACHE``).  Neither is locked, so
-share forms between threads only behind a lock of the caller's own.
+``_inverse_form``, its det-1 rescaling ``_unit_form`` and its single
+enumeration slot ``_enumeration`` (the ellipsoid at the largest radius asked
+for so far, see :func:`zetasolve.theta.enumerate_ellipsoid`) lazily on first
+use.  The slots are not locked, and the form memo hands one form to every
+caller, so share forms between threads only behind a lock of the caller's
+own.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -120,7 +128,7 @@ class SPDForm:
     """
 
     __slots__ = ("matrix", "chol", "det", "inv", "n", "_inverse_form",
-                 "_unit_form", "_min_eig", "_enum_cache")
+                 "_unit_form", "_min_eig", "_enumeration")
 
     def __init__(self, matrix):
         m = as_symmetric(matrix)
@@ -133,7 +141,7 @@ class SPDForm:
         self._inverse_form = None
         self._unit_form = None
         self._min_eig = None
-        self._enum_cache = {}
+        self._enumeration = None
 
     @property
     def sqrt_det(self) -> float:
@@ -160,16 +168,34 @@ class SPDForm:
             self._unit_form = SPDForm(self.matrix * math.exp(-math.log(self.det) / self.n))
         return self._unit_form
 
-    def qeval(self, x) -> float:
-        return qeval(self, x)
-
     def __repr__(self):  # pragma: no cover
         return f"SPDForm(n={self.n}, det={self.det:.6g})"
 
 
 def cholesky(Q) -> SPDForm:
-    """Build the SPD data for a symmetric matrix; rejects indefinite input."""
-    return Q if isinstance(Q, SPDForm) else SPDForm(Q)
+    """The SPD form of a symmetric matrix; rejects indefinite input.
+
+    Equal symmetrized matrices give the same (memoized) form, so every
+    caller shares its factorization data and its enumeration.
+    """
+    if isinstance(Q, SPDForm):
+        return Q
+    m = as_symmetric(Q)
+    return _memo_form(m.tobytes(), m.shape[0])
+
+
+@functools.lru_cache(maxsize=64)
+def _memo_form(key: bytes, n: int) -> SPDForm:
+    return SPDForm(np.frombuffer(key).reshape(n, n))
+
+
+def checked_det(m, message: str) -> float:
+    """Determinant of a square matrix; raises :class:`SingularMatrix` with
+    ``message`` when it is not finite or at most ``SINGULAR_DET_MIN``."""
+    det = float(np.linalg.det(as_square(m)))
+    if not math.isfinite(det) or abs(det) <= SINGULAR_DET_MIN:
+        raise SingularMatrix(message)
+    return det
 
 
 def gram_transform(Q, A) -> np.ndarray:
@@ -187,9 +213,7 @@ class Lattice:
 
     def __init__(self, gen):
         g = as_square(gen)
-        det = float(np.linalg.det(g))
-        if not math.isfinite(det) or abs(det) <= SINGULAR_DET_MIN:
-            raise SingularMatrix("lattice generator is singular")
+        det = checked_det(g, "lattice generator is singular")
         self.gen = _freeze(g)
         self.n = g.shape[0]
         self.volume = abs(det)
@@ -233,11 +257,6 @@ def _require_numbers(values, what: str) -> list[float]:
             raise ValidationError(f"{what} must contain only numbers")
         out.append(float(x))
     return out
-
-
-def matrix_to_json(m) -> dict:
-    a = as_square(m)
-    return {"n": int(a.shape[0]), "rows": [list(map(float, row)) for row in a]}
 
 
 def matrix_from_json(obj) -> np.ndarray:

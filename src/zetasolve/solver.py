@@ -46,6 +46,7 @@ from .quadforms import (
     Lattice,
     as_square,
     as_vector,
+    checked_det,
     gram_transform,
     vector_to_json,
 )
@@ -59,7 +60,6 @@ from .tolerances import (
     CRAMER_CHECK_REL,
     RESIDUE_NODES,
     RESIDUE_RHO,
-    SINGULAR_DET_MIN,
 )
 from .zeta import (
     epstein_continued,
@@ -80,9 +80,7 @@ class LinearSystem:
     def __post_init__(self):
         a = as_square(self.A)
         v = as_vector(self.b, a.shape[0])
-        det = float(np.linalg.det(a))
-        if not math.isfinite(det) or abs(det) <= SINGULAR_DET_MIN:
-            raise SingularMatrix("matrix is singular to working precision")
+        checked_det(a, "matrix is singular to working precision")
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "b", v)
 

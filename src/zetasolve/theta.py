@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGrid, TooManyPoints, ValidationError
-from .quadforms import SPDForm, as_symmetric, cholesky, qeval, qeval_many, trace_product
+from .quadforms import SPDForm, as_symmetric, cholesky, qeval_many
 from .tolerances import POINT_CAP
 
 
@@ -62,7 +62,10 @@ def enumerate_ellipsoid(Q, R: float, cap: int = POINT_CAP) -> EllipsoidPoints:
     """Complete nonzero lattice points of the ellipsoid ``q_Q(w) <= R``.
 
     Cholesky-based branch-and-bound; raises :class:`TooManyPoints` when the
-    number of points would exceed ``cap``.
+    number of points would exceed ``cap``.  The form keeps one enumeration,
+    at the largest radius asked for so far; a smaller radius is read off as
+    its prefix, since ascending ``q`` order lists every smaller ellipsoid
+    first.
     """
     Qf = cholesky(Q)
     R = float(R)
@@ -74,10 +77,13 @@ def enumerate_ellipsoid(Q, R: float, cap: int = POINT_CAP) -> EllipsoidPoints:
     if est > 2.0 * cap:
         raise TooManyPoints(f"~{est:.3g} points expected, cap is {cap}")
 
-    # memoized per form: enumeration is reused heavily by the zeta module
-    cached = Qf._enum_cache.get(R)
-    if cached is not None:
-        return cached
+    held = Qf._enumeration
+    if held is not None and R <= held.radius:
+        if R == held.radius:
+            return held
+        k = int(np.searchsorted(held.qvals, R, "right"))
+        return EllipsoidPoints(form=Qf, radius=R, points=held.points[:k],
+                               qvals=held.qvals[:k])
 
     U = Qf.chol.T  # upper triangular, positive diagonal
     slack = R * (1.0 + 1e-9) + 1e-9
@@ -121,11 +127,8 @@ def enumerate_ellipsoid(Q, R: float, cap: int = POINT_CAP) -> EllipsoidPoints:
     pts, q = pts[order], q[order]
     pts.setflags(write=False)
     q.setflags(write=False)
-    result = EllipsoidPoints(form=Qf, radius=R, points=pts, qvals=q)
-    if len(Qf._enum_cache) > 8:
-        Qf._enum_cache.clear()
-    Qf._enum_cache[R] = result
-    return result
+    Qf._enumeration = EllipsoidPoints(form=Qf, radius=R, points=pts, qvals=q)
+    return Qf._enumeration
 
 
 def _tail_radius_gaussian(Qf: SPDForm, t: float, tol: float, b_norm: float = 0.0) -> float:
@@ -180,46 +183,6 @@ def theta_star_weighted(Q, B, t: float, tol: float) -> float:
     ep = enumerate_ellipsoid(Qf, R)
     weights = qeval_many(Bm, ep.points)
     return _fsum(t * weights * np.exp(-math.pi * t * ep.qvals))
-
-
-@dataclass(frozen=True)
-class GaussianPolyFunction:
-    """x -> coeff * q_weight(x) * exp(-pi q_form(x)); weight absent means 1."""
-
-    coeff: float
-    weight: np.ndarray | None
-    form: SPDForm
-
-    def __call__(self, x) -> float:
-        w = qeval(self.weight, x) if self.weight is not None else 1.0
-        return self.coeff * w * math.exp(-math.pi * qeval(self.form, x))
-
-    @property
-    def value_at_zero(self) -> float:
-        return 0.0 if self.weight is not None else self.coeff
-
-
-def fourier_gaussian_weighted(Q, B=None) -> list[GaussianPolyFunction]:
-    """Fourier transform of the (optionally weighted) Gaussian, in closed form.
-
-    Without a weight:  (det Q)^(-1/2) exp(-pi q_{Q^-1}).
-    With weight B:     -(det Q)^(-1/2) q_C exp(-pi q_{Q^-1})
-                       + Tr(Q^-1 B) / (2 pi (det Q)^(1/2)) exp(-pi q_{Q^-1}),
-    where C = Q^-1 B Q^-1.
-    """
-    Qf = cholesky(Q)
-    inv_form = Qf.inverse_form()
-    root = Qf.sqrt_det
-    if B is None:
-        return [GaussianPolyFunction(1.0 / root, None, inv_form)]
-    Bm = as_symmetric(B, Qf.n)
-    c = Qf.inv @ Bm @ Qf.inv
-    c = (c + c.T) / 2.0
-    tr = trace_product(Qf, Bm)
-    return [
-        GaussianPolyFunction(-1.0 / root, c, inv_form),
-        GaussianPolyFunction(tr / (2.0 * math.pi * root), None, inv_form),
-    ]
 
 
 def theta_transform_residual(Q, t: float) -> float:

@@ -50,8 +50,13 @@ is evaluated componentwise through the identity
 
 Lattice variants reduce through the congruence transform of the generator.
 Truncation of the split sums follows the term-magnitude rule in
-:mod:`zetasolve.tolerances` (radii are rounded up to integers so repeated
-evaluations share enumerations).
+:mod:`zetasolve.tolerances`.  Matrices become forms through
+:func:`~zetasolve.quadforms.cholesky`, so repeated evaluations on one matrix
+share its form, and each form keeps one enumeration from which every
+smaller radius is read as a prefix.  Radii are rounded up to integers.  A
+sum runs over exactly the points with q <= R, whether they come from a fresh
+enumeration or a prefix, so the rounding fixes which points are summed and
+with them the last bits of every value.
 """
 
 from __future__ import annotations
@@ -66,7 +71,6 @@ from .errors import (
     DimensionMismatch,
     EvaluationFailure,
     OutsideConvergence,
-    SingularMatrix,
     TooCloseToPole,
 )
 from .quadforms import (
@@ -75,6 +79,8 @@ from .quadforms import (
     as_square,
     as_symmetric,
     as_vector,
+    checked_det,
+    cholesky,
     dual_lattice,
     gram_transform,
     qeval_many,
@@ -87,7 +93,6 @@ from .tolerances import (
     POLE_EXCLUSION,
     RESIDUE_NODES,
     RESIDUE_RHO,
-    SINGULAR_DET_MIN,
     SPLIT_TAIL_TARGET,
 )
 
@@ -128,23 +133,6 @@ class FuncEqResidual:
 # ---------------------------------------------------------------------------
 # shared plumbing
 # ---------------------------------------------------------------------------
-
-_SPD_CACHE: dict[bytes, SPDForm] = {}
-
-
-def _as_spd(Q) -> SPDForm:
-    if isinstance(Q, SPDForm):
-        return Q
-    m = as_symmetric(Q)
-    key = m.tobytes()
-    form = _SPD_CACHE.get(key)
-    if form is None:
-        if len(_SPD_CACHE) > 64:
-            _SPD_CACHE.clear()
-        form = SPDForm(m)
-        _SPD_CACHE[key] = form
-    return form
-
 
 def _as_lattice(L) -> Lattice:
     return L if isinstance(L, Lattice) else Lattice(L)
@@ -314,7 +302,7 @@ def epstein_direct(Q, s, tol: float) -> ZetaValue:
 
     Requires Re(s) >= n/2 + 0.5.
     """
-    Qf = _as_spd(Q)
+    Qf = cholesky(Q)
     s = complex(s)
     tol = float(tol)
     if s.real < Qf.n / 2.0 + 0.5:
@@ -327,7 +315,7 @@ def epstein_direct(Q, s, tol: float) -> ZetaValue:
 
 def weighted_direct(Q, B, s, tol: float) -> ZetaValue:
     """Truncated sum ``sum' q_B(w) q_Q(w)^-s``; needs Re(s) >= n/2 + 1.5."""
-    Qf = _as_spd(Q)
+    Qf = cholesky(Q)
     Bm = as_symmetric(B, Qf.n)
     s = complex(s)
     tol = float(tol)
@@ -356,7 +344,7 @@ def epstein_continued(Q, s) -> ZetaValue:
     special value -1; at the negative integers it produces the trivial zeros.
     """
     s, single = _points(s)
-    Qf = _as_spd(Q)
+    Qf = cholesky(Q)
     n = Qf.n
     _exclude_pole(s, n / 2.0, "n/2")
     unit = Qf.unit_form()
@@ -410,7 +398,7 @@ def _weighted_many(Qf: SPDForm, mats: list[np.ndarray], s: np.ndarray,
 
 def weighted_continued(Q, B, s) -> ZetaValue:
     """``zeta(q_Q, q_B, s)`` everywhere except the pole at s = n/2 + 1."""
-    Qf = _as_spd(Q)
+    Qf = cholesky(Q)
     Bm = as_symmetric(B, Qf.n)
     return _weighted_many(Qf, [Bm], *_points(s))[0]
 
@@ -418,17 +406,17 @@ def weighted_continued(Q, B, s) -> ZetaValue:
 def lattice_zeta(L, Q, s) -> ZetaValue:
     """``zeta_L(q_Q, s)`` via the congruence reduction to the standard lattice."""
     Lat = _as_lattice(L)
-    Qf = _as_spd(Q)
-    return epstein_continued(_as_spd(gram_transform(Qf, Lat.gen)), s)
+    Qf = cholesky(Q)
+    return epstein_continued(cholesky(gram_transform(Qf, Lat.gen)), s)
 
 
 def lattice_weighted_zeta(L, Q, B, s) -> ZetaValue:
     """``zeta_L(q_Q, q_B, s)`` via the congruence reduction."""
     Lat = _as_lattice(L)
-    Qf = _as_spd(Q)
+    Qf = cholesky(Q)
     Bm = as_symmetric(B, Qf.n)
     return weighted_continued(
-        _as_spd(gram_transform(Qf, Lat.gen)),
+        cholesky(gram_transform(Qf, Lat.gen)),
         gram_transform(Bm, Lat.gen),
         s,
     )
@@ -444,10 +432,8 @@ def vector_zeta(A, b, s) -> list[ZetaValue]:
     Am = as_square(A)
     n = Am.shape[0]
     bv = as_vector(b, n)
-    det = float(np.linalg.det(Am))
-    if not math.isfinite(det) or abs(det) <= SINGULAR_DET_MIN:
-        raise SingularMatrix("vector zeta needs an invertible matrix")
-    gram = _as_spd(gram_transform(np.eye(n), Am))
+    checked_det(Am, "vector zeta needs an invertible matrix")
+    gram = cholesky(gram_transform(np.eye(n), Am))
     mats = [sym_outer(bv, Am[j, :]) for j in range(n)]
     return _weighted_many(gram, mats, *_points(s))
 
@@ -459,7 +445,7 @@ def vector_zeta(A, b, s) -> list[ZetaValue]:
 def residue_epstein(L, Q) -> PoleReport:
     """Residue of ``zeta_L(q_Q, s)`` at its pole s = n/2 (closed form)."""
     Lat = _as_lattice(L)
-    Qf = _as_spd(Q)
+    Qf = cholesky(Q)
     n = Qf.n
     res = (n / 2.0) * math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
     res /= Lat.volume * Qf.sqrt_det
@@ -469,7 +455,7 @@ def residue_epstein(L, Q) -> PoleReport:
 def residue_weighted(L, Q, B) -> PoleReport:
     """Residue of ``zeta_L(q_Q, q_B, s)`` at s = n/2 + 1 (closed form)."""
     Lat = _as_lattice(L)
-    Qf = _as_spd(Q)
+    Qf = cholesky(Q)
     Bm = as_symmetric(B, Qf.n)
     n = Qf.n
     res = 0.5 * math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
@@ -482,9 +468,7 @@ def residue_vector(A, b) -> PoleReport:
     Am = as_square(A)
     n = Am.shape[0]
     bv = as_vector(b, n)
-    det = float(np.linalg.det(Am))
-    if not math.isfinite(det) or abs(det) <= SINGULAR_DET_MIN:
-        raise SingularMatrix("vector residue needs an invertible matrix")
+    det = checked_det(Am, "vector residue needs an invertible matrix")
     dual_b = np.linalg.solve(Am.T, bv)
     res = 0.5 * math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) / abs(det) * dual_b
     return PoleReport(location=n / 2.0 + 1.0, residue=res, source="analytic")
@@ -545,7 +529,7 @@ def funceq_residual_lattice(L, Q, s) -> FuncEqResidual:
     rhs = pi^-s Gamma(s) zeta_L'(q_{Q^-1}, s) / (|L| sqrt(det Q)).
     """
     Lat = _as_lattice(L)
-    Qf = _as_spd(Q)
+    Qf = cholesky(Q)
     n = Qf.n
     s = complex(s)
     lhs = (_pi_pow(-(n / 2.0 - s)) * gamma_complex(n / 2.0 - s)
@@ -565,7 +549,7 @@ def funceq_residual_weighted(L, Q, B, s) -> FuncEqResidual:
     with C = Q^-1 B Q^-1.
     """
     Lat = _as_lattice(L)
-    Qf = _as_spd(Q)
+    Qf = cholesky(Q)
     Bm = as_symmetric(B, Qf.n)
     n = Qf.n
     s = complex(s)
@@ -595,9 +579,7 @@ def funceq_residual_vector(A, b, c, s) -> FuncEqResidual:
     n = Am.shape[0]
     bv = as_vector(b, n)
     cv = as_vector(c, n)
-    det = float(np.linalg.det(Am))
-    if not math.isfinite(det) or abs(det) <= SINGULAR_DET_MIN:
-        raise SingularMatrix("functional equation needs an invertible matrix")
+    det = checked_det(Am, "functional equation needs an invertible matrix")
     s = complex(s)
     a_dual = np.linalg.inv(Am.T)
     db = a_dual @ bv

@@ -285,6 +285,14 @@ LATTICE_CASE = {"check": "funceq_lattice", "Q": I2, "s": 0.6}
     ("bench", {"repeat": 10 ** 400}),
     ("scan", '{"Q": [[1, 0], [0, 1]], "s_start": 2, "s_end": 3, "steps": 1'
              + "0" * 5000 + "}"),
+    # operand fields the named functional-equation family does not read
+    ("funceq", {"family": "vector", "A": I2, "b": [1, 2], "c": [1, 1], "s": 0.7,
+                "Q": [[5]]}),
+    ("funceq", {"family": "lattice", "Q": I2, "B": I2, "A": [[9]], "s": 0.7}),
+    ("funceq", {"family": "weighted", "Q": I2, "B": I2, "c": [1, 1], "s": 0.7}),
+    ("verify", {"cases": [{**LATTICE_CASE, "B": I2}]}),
+    ("theta", {"Q": I2, "t_list": []}),
+    ("theta", {"Q": I2, "t_list": 0.5}),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, command, payload):
     path = write(tmp_path, "in.json", payload)

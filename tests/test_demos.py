@@ -1,12 +1,14 @@
 """Smoke test: every script under demos/ runs to completion."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
@@ -15,6 +17,10 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
+    # the demos import zetasolve, which need not be installed
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, timeout=300)
+                          text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from zetasolve.errors import DegenerateGrid, TooManyPoints, ValidationError
-from zetasolve.quadforms import cholesky, qeval
+from zetasolve.quadforms import SPDForm, cholesky, qeval
 from zetasolve.theta import (
     enumerate_ellipsoid,
-    fourier_gaussian_weighted,
     theta_asymptotic_fit,
     theta_star_gaussian,
     theta_star_weighted,
@@ -65,6 +64,24 @@ def test_enumeration_sorted_and_symmetric():
     assert np.all(q <= 40.0)
 
 
+def test_smaller_radius_is_a_prefix_of_the_held_enumeration():
+    rng = np.random.default_rng(37)
+    for n in range(1, 6):
+        for _ in range(3):
+            m = rng.standard_normal((n, n))
+            q = m @ m.T + 0.5 * n * np.eye(n)
+            qf = cholesky(q)
+            big = enumerate_ellipsoid(qf, 30.0)
+            small = enumerate_ellipsoid(qf, 7.0)
+            fresh = enumerate_ellipsoid(SPDForm(q), 7.0)
+            assert small.radius == 7.0
+            assert np.array_equal(small.points, fresh.points)
+            assert np.array_equal(small.qvals.view(np.uint64), fresh.qvals.view(np.uint64))
+            # the form holds one enumeration, at the largest radius asked for
+            assert qf._enumeration is big and big.radius == 30.0
+            assert enumerate_ellipsoid(qf, 30.0) is big
+
+
 def test_enumeration_point_cap():
     with pytest.raises(TooManyPoints):
         enumerate_ellipsoid(I2, 1e6, cap=1000)
@@ -118,32 +135,6 @@ def test_theta_permutation_invariance():
             theta_star_gaussian(qp, t, 1e-14), abs=1e-13)
         assert theta_star_weighted(q, q, t, 1e-14) == pytest.approx(
             theta_star_weighted(qp, qp, t, 1e-14), abs=1e-13)
-
-
-def test_fourier_transform_terms():
-    terms = fourier_gaussian_weighted(I2)
-    assert len(terms) == 1
-    assert terms[0].coeff == pytest.approx(1.0)
-    assert terms[0].weight is None
-    assert np.allclose(terms[0].form.matrix, I2)
-
-    terms = fourier_gaussian_weighted(I2, I2)
-    assert len(terms) == 2
-    assert terms[0].coeff == pytest.approx(-1.0)
-    assert np.allclose(terms[0].weight, I2)
-    assert terms[1].coeff == pytest.approx(1.0 / math.pi)
-    assert terms[1].weight is None
-
-    terms = fourier_gaussian_weighted(np.diag([2.0, 2.0]))
-    assert terms[0].coeff == pytest.approx(0.5)
-    assert np.allclose(terms[0].form.matrix, np.diag([0.5, 0.5]))
-
-
-def test_fourier_value_at_zero():
-    terms = fourier_gaussian_weighted(I2, I2)
-    # integral of q_I exp(-pi q_I) over the plane = Tr / (2 pi sqrt(det)) = 1/pi
-    assert sum(t.value_at_zero for t in terms) == pytest.approx(1.0 / math.pi)
-    assert terms[0](np.zeros(2)) == 0.0
 
 
 def test_transform_residual_grid():
