@@ -66,8 +66,6 @@ from .specfun import (
 from .spherequad import (
     QuadratureSpec,
     SphereIntegralResult,
-    SplitMix64,
-    gaussian_direction,
     sample_directions,
     sphere_integrate,
     sphere_quadrature_nodes,

@@ -94,6 +94,12 @@ _POLE_ERRORS = (TooCloseToPole, PoleOfGamma)
 
 MAX_SCAN_STEPS = 10_000
 MAX_BENCH_REPEAT = 100
+# Quadrature caps for ``solve``: directions times n (2^24 doubles, 128 MiB per
+# direction array) and the product-Gauss order per polar angle, whose nodes
+# come from a dense O(nodes^3) eigenproblem.  Monte Carlo 10^6 at n = 8 and
+# product-Gauss 32 at n = 5 (2 * 32^4 directions) fit.
+MAX_QUADRATURE_ENTRIES = 2 ** 24
+MAX_GAUSS_ORDER = 256
 
 
 def _fmt(x: float) -> str:
@@ -265,7 +271,18 @@ def _parse_quadrature(obj, n: int, seed_override: int | None) -> QuadratureSpec:
     seed = obj.get("seed", 0)
     if seed_override is not None:
         seed = seed_override
-    return QuadratureSpec(method=obj["method"], nodes=obj["nodes"], seed=seed)
+    spec = QuadratureSpec(method=obj["method"], nodes=obj["nodes"], seed=seed)
+    if spec.method == "product_gauss":
+        _count(spec.nodes, "product_gauss nodes", MAX_GAUSS_ORDER)
+        directions = 2 * spec.nodes ** (n - 1)
+    else:
+        directions = spec.nodes
+    if directions * n > MAX_QUADRATURE_ENTRIES:
+        raise ValidationError(
+            f"quadrature has {directions} directions in n = {n}; directions times n "
+            f"must be at most {MAX_QUADRATURE_ENTRIES}"
+        )
+    return spec
 
 
 def _emit_records(records: list[dict], fmt: str, out) -> None:

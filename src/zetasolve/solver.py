@@ -30,7 +30,6 @@ above 1e6, where the integrand dynamic range makes quadrature hopeless).
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -221,9 +220,12 @@ def solve_via_integrals(A, b, spec: QuadratureSpec) -> SolveReport:
     method = {"route": "integrals", "quadrature": spec.method,
               "nodes": spec.nodes, "seed": spec.seed}
     if spec.method == "monte_carlo":
-        def columns(u):  # the R, R_1 .. R_n integrands, written once
+        if spec.nodes < 2:
+            raise ValidationError("monte_carlo needs at least 2 samples for an error bar")
+
+        def columns(u):  # the R, R_1 .. R_n integrands, written once, by column
             p, g, v = _cimmino_terms(u, a, bv)
-            out = np.empty((len(u), n + 1))
+            out = np.empty((len(u), n + 1), order="F")
             out[:, 0] = p
             np.multiply(g[:, None], v, out=out[:, 1:])
             return out
@@ -241,11 +243,10 @@ def solve_via_integrals(A, b, spec: QuadratureSpec) -> SolveReport:
 
     err3 = None
     if spec.method == "monte_carlo":
-        err3 = np.full(n, math.inf)  # one sample has no variance estimate
-        if spec.nodes > 1:  # delta method: Var(R_i / R) = (C_ii - 2 x_i C_i0 + x_i^2 C_00) / R^2
-            c = result.covariance
-            var_x = (np.diagonal(c)[1:] - 2.0 * x * c[1:, 0] + x * x * c[0, 0]) / r_value ** 2
-            err3 = 3.0 * np.sqrt(np.maximum(var_x, 0.0))
+        # delta method: Var(R_i / R) = (C_ii - 2 x_i C_i0 + x_i^2 C_00) / R^2
+        c = result.covariance
+        var_x = (np.diagonal(c)[1:] - 2.0 * x * c[1:, 0] + x * x * c[0, 0]) / r_value ** 2
+        err3 = 3.0 * np.sqrt(np.maximum(var_x, 0.0))
 
     return SolveReport(
         x=x,

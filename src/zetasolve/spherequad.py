@@ -16,20 +16,21 @@ Three rules, selected by :class:`QuadratureSpec`:
 All integrals use the *unnormalized* surface measure (total mass
 ``2 pi^(n/2) / Gamma(n/2)``).
 
-Monte Carlo randomness is a fixed, documented 64-bit counter sequence so
-results are reproducible bit for bit across runs and implementations:
+Monte Carlo randomness is a fixed, documented counter-based stream
+(Philox4x64-10, Salmon et al., SC'11, with numpy's ziggurat normals).  Rows
+are drawn in fixed blocks of 65536 directions; block ``b`` holds the first
+``m`` rows of
 
-    u64(i)     = mix(seed + (i + 1) * 0x9E3779B97F4A7C15)   (mod 2^64)
-    mix(z)     : z ^= z >> 30; z *= 0xBF58476D1CE4E5B9;
-                 z ^= z >> 27; z *= 0x94D049BB133111EB; z ^= z >> 31
-    uniform(i) = (u64(i) + 0.5) * 2^-64                      in (0, 1)
+    np.random.Generator(np.random.Philox(key=(seed mod 2^64) + (b << 64)))
+        .standard_normal((m, n))
 
-Direction k consumes the ``2 * ceil(n/2)`` uniforms starting at index
-``k * 2 * ceil(n/2)`` through the Box-Muller transform (pairs
-``(sqrt(-2 ln u1) cos(2 pi u2), sqrt(-2 ln u1) sin(2 pi u2))``), keeping the
-first n Gaussians.  Sampling is organized in fixed blocks of 65536
-directions whose partial sums are reduced in block order, so the result is
-independent of any internal parallel split.
+each normalized by its left-to-right sum of squares.  Blocks are keyed by
+their index, so the rows do not depend on any internal split, and the first
+``k`` rows of ``sample_directions(n, K, seed)`` are
+``sample_directions(n, k, seed)`` for every ``k < K``.  The stream is
+reproducible bit for bit for one numpy version: ``Generator.standard_normal``
+is not covered by numpy's stream-compatibility promise (NEP 19), so a numpy
+release that changes it changes the documented stream.
 
 Integrand contract: ``f`` maps an ``(m, n)`` array of unit rows to ``(m,)``
 values, or to ``(m, k)`` for k integrals over the same directions; ``value``
@@ -45,12 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteIntegrand, ValidationError
+from .errors import DegenerateQuadrature, NonFiniteIntegrand, ValidationError
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-_GAMMA64 = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
 _BLOCK = 65536
 
 _METHODS = ("circle_trapezoid", "product_gauss", "monte_carlo")
@@ -91,93 +88,24 @@ def sphere_surface_measure(n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# counter-based splitmix64 stream
+# counter-based Philox stream
 # ---------------------------------------------------------------------------
 
-def _mix64_array(state: np.ndarray) -> np.ndarray:
-    z = state.astype(np.uint64)
-    z ^= z >> np.uint64(30)
-    z = (z * np.uint64(_MIX1)) & _MASK64
-    z ^= z >> np.uint64(27)
-    z = (z * np.uint64(_MIX2)) & _MASK64
-    z ^= z >> np.uint64(31)
-    return z
-
-
-def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """uniform(start) ... uniform(start+count-1) as float64 in (0, 1)."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    states = (np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * np.uint64(_GAMMA64)) & _MASK64
-    return (_mix64_array(states).astype(np.float64) + 0.5) * 2.0 ** -64
-
-
-class SplitMix64:
-    """Scalar view of the documented counter stream (one uniform per call)."""
-
-    def __init__(self, seed: int):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self.counter = 0
-
-    def next_uniform(self) -> float:
-        u = _uniforms(self.seed, self.counter, 1)[0]
-        self.counter += 1
-        return float(u)
-
-
-def _gaussians_from_uniforms(u: np.ndarray) -> np.ndarray:
-    """Box-Muller on consecutive pairs; u has even length along axis -1."""
-    u1 = u[..., 0::2]
-    u2 = u[..., 1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    out = np.empty_like(u)
-    out[..., 0::2] = r * np.cos(2.0 * math.pi * u2)
-    out[..., 1::2] = r * np.sin(2.0 * math.pi * u2)
-    return out
-
-
-def _normalize_rows(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row normalization with a fixed left-to-right sum of squares, so the
-    scalar and the blocked samplers produce bit-identical results."""
-    ss = g[:, 0] * g[:, 0]
-    for k in range(1, g.shape[1]):
-        ss = ss + g[:, k] * g[:, k]
-    norms = np.sqrt(ss)
-    return g / norms[:, None], norms
-
-
-def gaussian_direction(state: SplitMix64, n: int) -> np.ndarray:
-    """One uniformly distributed unit vector on S^(n-1) from the stream."""
-    if n < 1:
-        raise ValidationError("dimension must be >= 1")
-    stride = 2 * ((n + 1) // 2)
-    while True:
-        u = _uniforms(state.seed, state.counter, stride)
-        state.counter += stride
-        g = _gaussians_from_uniforms(u)[:n]
-        unit, norms = _normalize_rows(g.reshape(1, n))
-        if norms[0] > 0.0 and math.isfinite(norms[0]):
-            return unit[0]
-
-
 def sample_directions(n: int, count: int, seed: int) -> np.ndarray:
-    """``count`` unit rows, identical to ``count`` calls of
-    :func:`gaussian_direction` on a fresh ``SplitMix64(seed)``."""
-    stride = 2 * ((n + 1) // 2)
+    """``count`` unit rows of the documented stream (see the module docstring)."""
+    key = seed & 0xFFFFFFFFFFFFFFFF
     out = np.empty((count, n), dtype=float)
-    done = 0
-    while done < count:
-        m = min(_BLOCK, count - done)
-        u = _uniforms(seed, done * stride, m * stride).reshape(m, stride)
-        g = _gaussians_from_uniforms(u)[:, :n]
-        unit, norms = _normalize_rows(g)
-        bad = ~(np.isfinite(norms) & (norms > 0.0))
-        if np.any(bad):  # pragma: no cover - probability ~0 resample path
-            rng = SplitMix64(seed)
-            for i in np.flatnonzero(bad):
-                rng.counter = (done + int(i)) * stride
-                unit[i] = gaussian_direction(rng, n)
-        out[done:done + m] = unit
-        done += m
+    for done in range(0, count, _BLOCK):
+        g = out[done:done + _BLOCK]
+        rng = np.random.Generator(np.random.Philox(key=key + ((done // _BLOCK) << 64)))
+        rng.standard_normal(out=g)
+        ss = g[:, 0] * g[:, 0]  # a fixed left-to-right sum of squares
+        for k in range(1, n):
+            ss += g[:, k] * g[:, k]
+        norms = np.sqrt(ss)
+        if not np.all(norms > 0.0):  # pragma: no cover - probability ~0
+            raise DegenerateQuadrature("zero-norm Gaussian direction")
+        g /= norms[:, None]
     return out
 
 

@@ -4,7 +4,7 @@ import math
 import mpmath as mp
 import pytest
 
-from zetasolve.cli import main
+from zetasolve.cli import _parse_quadrature, main
 
 
 def run_cli(capsys, *argv):
@@ -263,6 +263,9 @@ def test_bench_runs(tmp_path, capsys):
 
 
 LATTICE_CASE = {"check": "funceq_lattice", "Q": I2, "s": 0.6}
+SOLVE_MC = {"A": I2, "b": [1.0, 2.0], "route": "integrals"}
+I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+I5 = [[float(i == j) for j in range(5)] for i in range(5)]
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -293,9 +296,26 @@ LATTICE_CASE = {"check": "funceq_lattice", "Q": I2, "s": 0.6}
     ("verify", {"cases": [{**LATTICE_CASE, "B": I2}]}),
     ("theta", {"Q": I2, "t_list": []}),
     ("theta", {"Q": I2, "t_list": 0.5}),
+    # a Monte Carlo solve needs two samples for its error bar
+    ("solve", {**SOLVE_MC, "quadrature": {"method": "monte_carlo", "nodes": 1}}),
+    # quadratures above the documented caps
+    ("solve", {**SOLVE_MC, "quadrature": {"method": "monte_carlo", "nodes": 10 ** 12}}),
+    ("solve", {"A": I3, "b": [1, 2, 3], "route": "integrals",
+               "quadrature": {"method": "product_gauss", "nodes": 100000}}),
+    ("solve", {"A": I5, "b": [1, 2, 3, 4, 5], "route": "integrals",
+               "quadrature": {"method": "product_gauss", "nodes": 40}}),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, command, payload):
     path = write(tmp_path, "in.json", payload)
     code, _, err = run_cli(capsys, command, "-i", path)
     assert code == 2
     assert err.startswith("invalid input:")
+
+
+@pytest.mark.parametrize("method, n, nodes", [
+    ("monte_carlo", 8, 10 ** 6), ("product_gauss", 4, 48),
+    ("product_gauss", 5, 32), ("circle_trapezoid", 2, 4096),
+])
+def test_quadrature_caps_accept_used_sizes(method, n, nodes):
+    spec = _parse_quadrature({"method": method, "nodes": nodes}, n, None)
+    assert (spec.method, spec.nodes) == (method, nodes)

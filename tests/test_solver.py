@@ -90,6 +90,14 @@ def test_solve_via_integrals_monte_carlo():
     assert np.array_equal(r.x_error3sigma, [0.0])
 
 
+def test_monte_carlo_solve_needs_two_samples():
+    with pytest.raises(ValidationError, match="at least 2 samples"):
+        solve_via_integrals(A22, B22, QuadratureSpec("monte_carlo", 1))
+    r = solve_via_integrals(A22, B22, QuadratureSpec("monte_carlo", 2))
+    assert np.all(np.isfinite(r.x_error3sigma))
+    r.to_json()
+
+
 def test_solve_via_residues_examples():
     r = solve_via_residues(np.diag([2.0, 3.0]), [2.0, 3.0])
     assert np.allclose(r.x, [1.0, 1.0], atol=1e-14)
