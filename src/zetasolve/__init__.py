@@ -52,7 +52,6 @@ from .solver import (
     LinearSystem,
     SolveReport,
     cimmino_R_integral,
-    cimmino_Ri_integral,
     numeric_residue_solve,
     solve_direct,
     solve_via_integrals,
@@ -68,6 +67,7 @@ from .spherequad import (
     SphereIntegralResult,
     sample_directions,
     sphere_integrate,
+    sphere_quadrature_blocks,
     sphere_quadrature_nodes,
     sphere_surface_measure,
 )

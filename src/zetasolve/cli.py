@@ -94,10 +94,10 @@ _POLE_ERRORS = (TooCloseToPole, PoleOfGamma)
 
 MAX_SCAN_STEPS = 10_000
 MAX_BENCH_REPEAT = 100
-# Quadrature caps for ``solve``: directions times n (2^24 doubles, 128 MiB per
-# direction array) and the product-Gauss order per polar angle, whose nodes
-# come from a dense O(nodes^3) eigenproblem.  Monte Carlo 10^6 at n = 8 and
-# product-Gauss 32 at n = 5 (2 * 32^4 directions) fit.
+# Quadrature caps for ``solve``: directions times n (2^24 doubles) and the
+# product-Gauss order per polar angle (a dense O(nodes^3) eigenproblem).  They
+# bound run time, not memory, which chunked evaluation bounds.  Monte Carlo
+# 10^6 at n = 8 and product-Gauss 32 at n = 5 (2 * 32^4 directions) fit.
 MAX_QUADRATURE_ENTRIES = 2 ** 24
 MAX_GAUSS_ORDER = 256
 

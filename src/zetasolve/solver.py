@@ -51,8 +51,9 @@ from .quadforms import (
 )
 from .spherequad import (
     QuadratureSpec,
+    _entrywise_fsum,
     sphere_integrate,
-    sphere_quadrature_nodes,
+    sphere_quadrature_blocks,
 )
 from .tolerances import (
     CONDITION_WARN,
@@ -186,25 +187,6 @@ def cimmino_R_integral(A, spec: QuadratureSpec) -> float:
     return sphere_integrate(lambda u: _cimmino_terms(u, a, bv)[0], n, spec).value
 
 
-def cimmino_Ri_integral(A, b, i: int, spec: QuadratureSpec) -> float:
-    """n times the sphere integral of ``|A^T u|^(-n-2) <b, u> <A^T u, e_i>``.
-
-    ``i`` is 1-based.
-    """
-    a = as_square(A)
-    n = a.shape[0]
-    bv = as_vector(b, n)
-    LinearSystem(a, bv)
-    if not 1 <= i <= n:
-        raise ValidationError(f"component index must be in 1..{n}, got {i}")
-
-    def integrand(u):
-        _, g, v = _cimmino_terms(u, a, bv)
-        return g * v[:, i - 1]
-
-    return sphere_integrate(integrand, n, spec).value
-
-
 def solve_via_integrals(A, b, spec: QuadratureSpec) -> SolveReport:
     """Cimmino solve: x_i = R_i / R with R and all R_i sharing the same nodes."""
     system = LinearSystem(A, b)
@@ -231,12 +213,14 @@ def solve_via_integrals(A, b, spec: QuadratureSpec) -> SolveReport:
             return out
 
         result = sphere_integrate(columns, n, spec)
-        r_value, ri_value = result.value[0], result.value[1:]
+        total = result.value
     else:
-        nodes, w = sphere_quadrature_nodes(n, spec)
-        p, g, v = _cimmino_terms(nodes, a, bv)
-        r_value = float(w @ p)
-        ri_value = (w * g) @ v
+        parts = []
+        for nodes, w in sphere_quadrature_blocks(n, spec):
+            p, g, v = _cimmino_terms(nodes, a, bv)
+            parts.append(np.append(w @ p, (w * g) @ v))
+        total = _entrywise_fsum(parts)
+    r_value, ri_value = total[0], total[1:]
     if r_value <= 0.0:
         raise DegenerateQuadrature("nonpositive denominator estimate")
     x = ri_value / r_value

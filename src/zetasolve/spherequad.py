@@ -27,16 +27,26 @@ are drawn in fixed blocks of 65536 directions; block ``b`` holds the first
 each normalized by its left-to-right sum of squares.  Blocks are keyed by
 their index, so the rows do not depend on any internal split, and the first
 ``k`` rows of ``sample_directions(n, K, seed)`` are
-``sample_directions(n, k, seed)`` for every ``k < K``.  The stream is
-reproducible bit for bit for one numpy version: ``Generator.standard_normal``
-is not covered by numpy's stream-compatibility promise (NEP 19), so a numpy
-release that changes it changes the documented stream.
+``sample_directions(n, k, seed)`` for every ``k < K``;
+``sample_directions(n, k, seed, block=b)`` is rows ``b * 65536`` to
+``b * 65536 + k`` of the same stream.  The stream is reproducible bit for bit
+for one numpy version: ``Generator.standard_normal`` is not covered by
+numpy's stream-compatibility promise (NEP 19), so a numpy release that
+changes it changes the documented stream.
 
 Integrand contract: ``f`` maps an ``(m, n)`` array of unit rows to ``(m,)``
 values, or to ``(m, k)`` for k integrals over the same directions; ``value``
 and ``error_estimate`` are then floats or ``(k,)`` arrays, and ``covariance``
 (of the Monte Carlo estimate, zero for n = 1, ``None`` for the deterministic
 rules) a float or ``(k, k)``.
+
+Every rule is evaluated and reduced block by block, so memory does not grow
+with the rule: ``f`` sees at most 65536 directions per call, or one outermost
+polar node of product-Gauss (:func:`sphere_quadrature_blocks`).  A Monte Carlo
+block keeps its column sums and the Gram matrix of its deviations from its
+own mean, merged into the centred covariance by Chan, Golub and LeVeque
+(Am. Stat. 37, 1983); a deterministic chunk keeps its weighted sums.  Each
+merge is an ``fsum`` entry by entry in block order.
 """
 
 from __future__ import annotations
@@ -64,10 +74,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValidationError(f"unknown quadrature method {self.method!r}")
-        if not isinstance(self.nodes, int) or isinstance(self.nodes, bool) or self.nodes < 1:
-            raise ValidationError(f"nodes must be a positive integer, got {self.nodes!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
+        _check_int("nodes", self.nodes, 1)
+        _check_int("seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -80,24 +88,45 @@ class SphereIntegralResult:
     covariance: float | np.ndarray | None = None
 
 
+def _check_int(name: str, value, least: int | None = None) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or (
+            least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValidationError(f"{name} must be an integer{bound}, got {value!r}")
+
+
 def sphere_surface_measure(n: int) -> float:
     """Total measure of S^(n-1); n = 1 gives the two-point measure 2."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"dimension must be a positive integer, got {n!r}")
+    _check_int("dimension", n, 1)
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
+
+def _entrywise_fsum(parts) -> np.ndarray:
+    """``fsum`` of equal-shape arrays, entry by entry, in the order given."""
+    stacked = np.asarray(parts, dtype=float)
+    flat = stacked.reshape(len(stacked), -1).T
+    return np.array([math.fsum(col) for col in flat]).reshape(stacked.shape[1:])
 
 
 # ---------------------------------------------------------------------------
 # counter-based Philox stream
 # ---------------------------------------------------------------------------
 
-def sample_directions(n: int, count: int, seed: int) -> np.ndarray:
-    """``count`` unit rows of the documented stream (see the module docstring)."""
+def sample_directions(n: int, count: int, seed: int, *, block: int = 0) -> np.ndarray:
+    """``count`` unit rows of the documented stream (see the module docstring),
+    starting at row ``block * 65536``."""
+    _check_int("dimension", n, 1)
+    _check_int("count", count, 0)
+    _check_int("seed", seed)
+    _check_int("block", block, 0)
+    if block + -(-count // _BLOCK) > 2 ** 64:
+        raise ValidationError("the stream has 2^64 blocks")
     key = seed & 0xFFFFFFFFFFFFFFFF
     out = np.empty((count, n), dtype=float)
     for done in range(0, count, _BLOCK):
         g = out[done:done + _BLOCK]
-        rng = np.random.Generator(np.random.Philox(key=key + ((done // _BLOCK) << 64)))
+        b = block + done // _BLOCK
+        rng = np.random.Generator(np.random.Philox(key=key + (b << 64)))
         rng.standard_normal(out=g)
         ss = g[:, 0] * g[:, 0]  # a fixed left-to-right sum of squares
         for k in range(1, n):
@@ -113,46 +142,57 @@ def sample_directions(n: int, count: int, seed: int) -> np.ndarray:
 # deterministic node sets
 # ---------------------------------------------------------------------------
 
-def sphere_quadrature_nodes(n: int, spec: QuadratureSpec):
-    """Nodes and weights ``(U, w)`` for the deterministic rules.
-
-    Raises for ``monte_carlo`` (which has no fixed node set).
-    """
+def sphere_quadrature_blocks(n: int, spec: QuadratureSpec):
+    """Nodes and weights ``(U, w)`` of a deterministic rule (not ``monte_carlo``)
+    in chunks of at most ``max(65536, rows of one outermost polar node)`` rows."""
+    _check_int("dimension", n, 1)
+    if not isinstance(spec, QuadratureSpec):
+        raise ValidationError("spec must be a QuadratureSpec")
     if spec.method == "circle_trapezoid":
         if n != 2:
             raise ValidationError("circle_trapezoid is only defined for n = 2")
         m = spec.nodes
-        theta = 2.0 * math.pi * np.arange(m) / m
-        u = np.column_stack([np.cos(theta), np.sin(theta)])
-        w = np.full(m, 2.0 * math.pi / m)
-        return u, w
-    if spec.method == "product_gauss":
-        if not 3 <= n <= 5:
-            raise ValidationError("product_gauss is only defined for 3 <= n <= 5")
-        order = spec.nodes
-        x, wx = np.polynomial.legendre.leggauss(order)
-        theta = 0.5 * math.pi * (x + 1.0)
-        wtheta = 0.5 * math.pi * wx
-        m_az = 2 * order
-        phi = 2.0 * math.pi * np.arange(m_az) / m_az
-        wphi = np.full(m_az, 2.0 * math.pi / m_az)
-        angles = [theta] * (n - 2) + [phi]
-        weights = [wtheta] * (n - 2) + [wphi]
-        grids = np.meshgrid(*angles, indexing="ij")
-        wgrids = np.meshgrid(*weights, indexing="ij")
-        w = np.ones_like(grids[0])
+        for start in range(0, m, _BLOCK):
+            theta = 2.0 * math.pi * np.arange(start, min(m, start + _BLOCK)) / m
+            u = np.column_stack([np.cos(theta), np.sin(theta)])
+            yield u, np.full(len(theta), 2.0 * math.pi / m)
+        return
+    if spec.method != "product_gauss":
+        raise ValidationError("monte_carlo has no deterministic node set")
+    if not 3 <= n <= 5:
+        raise ValidationError("product_gauss is only defined for 3 <= n <= 5")
+    order = spec.nodes
+    x, wx = np.polynomial.legendre.leggauss(order)
+    theta = 0.5 * math.pi * (x + 1.0)
+    wtheta = 0.5 * math.pi * wx
+    m_az = 2 * order
+    phi = 2.0 * math.pi * np.arange(m_az) / m_az
+    wphi = np.full(m_az, 2.0 * math.pi / m_az)
+    step = max(1, _BLOCK // (order ** (n - 3) * m_az))  # outermost polar nodes per chunk
+    for lo in range(0, order, step):
+        angles = [theta[lo:lo + step]] + [theta] * (n - 3) + [phi]
+        weights = [wtheta[lo:lo + step]] + [wtheta] * (n - 3) + [wphi]
+        grids = np.meshgrid(*angles, indexing="ij", sparse=True)
+        wgrids = np.meshgrid(*weights, indexing="ij", sparse=True)
+        w = 1.0
         for k in range(n - 2):
             w = w * wgrids[k] * np.sin(grids[k]) ** (n - 2 - k)
         w = w * wgrids[n - 2]
-        u = np.empty(grids[0].shape + (n,))
-        sin_prod = np.ones_like(grids[0])
+        u = np.empty(w.shape + (n,))
+        sin_prod = 1.0
         for k in range(n - 2):
             u[..., k] = sin_prod * np.cos(grids[k])
             sin_prod = sin_prod * np.sin(grids[k])
         u[..., n - 2] = sin_prod * np.cos(grids[n - 2])
         u[..., n - 1] = sin_prod * np.sin(grids[n - 2])
-        return u.reshape(-1, n), w.reshape(-1)
-    raise ValidationError("monte_carlo has no deterministic node set")
+        yield u.reshape(-1, n), w.reshape(-1)
+
+
+def sphere_quadrature_nodes(n: int, spec: QuadratureSpec):
+    """Nodes and weights ``(U, w)`` for the deterministic rules: the chunks of
+    :func:`sphere_quadrature_blocks`, concatenated.  Raises for ``monte_carlo``."""
+    us, ws = zip(*sphere_quadrature_blocks(n, spec))
+    return np.concatenate(us), np.concatenate(ws)
 
 
 def _evaluate(f, u: np.ndarray) -> np.ndarray:
@@ -168,25 +208,8 @@ def _evaluate(f, u: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _monte_carlo(cols: np.ndarray, n: int):
-    """Surface measure times the column means, and the covariance of that
-    estimate.  Per block of ``_BLOCK`` rows it takes the column sums, then the
-    Gram matrix of the deviations from the mean; each is reduced with ``fsum``
-    in block order."""
-    m, k = cols.shape
-    blocks = [cols[i:i + _BLOCK] for i in range(0, m, _BLOCK)]
-    mean = np.array([math.fsum(np.sum(b[:, j]) for b in blocks) for j in range(k)]) / m
-    surface = sphere_surface_measure(n)
-    if m == 1:
-        return surface * mean, np.full((k, k), math.inf)
-    grams = np.array([d.T @ d for d in (b - mean for b in blocks)])
-    m2 = np.array([[math.fsum(grams[:, r, c]) for c in range(k)] for r in range(k)])
-    return surface * mean, (surface * surface) * (m2 / (m - 1)) / m
-
-
 def _deterministic_value(f, n: int, spec: QuadratureSpec) -> np.ndarray:
-    u, w = sphere_quadrature_nodes(n, spec)
-    return w @ _evaluate(f, u)
+    return _entrywise_fsum([w @ _evaluate(f, u) for u, w in sphere_quadrature_blocks(n, spec)])
 
 
 def sphere_integrate(f, n: int, spec: QuadratureSpec) -> SphereIntegralResult:
@@ -197,8 +220,7 @@ def sphere_integrate(f, n: int, spec: QuadratureSpec) -> SphereIntegralResult:
     """
     if not isinstance(spec, QuadratureSpec):
         raise ValidationError("spec must be a QuadratureSpec")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"dimension must be a positive integer, got {n!r}")
+    _check_int("dimension", n, 1)
     if n > 1 and spec.method != "monte_carlo":
         value = _deterministic_value(f, n, spec)
         half = QuadratureSpec(spec.method, max(2, spec.nodes // 2), spec.seed)
@@ -207,13 +229,27 @@ def sphere_integrate(f, n: int, spec: QuadratureSpec) -> SphereIntegralResult:
             return SphereIntegralResult(float(value), float(error))
         return SphereIntegralResult(value, error)
 
-    u = np.array([[1.0], [-1.0]]) if n == 1 else sample_directions(n, spec.nodes, spec.seed)
-    vals = _evaluate(f, u)
-    cols = vals.reshape(len(u), -1)
     if n == 1:
+        vals = _evaluate(f, np.array([[1.0], [-1.0]]))
+        cols = vals.reshape(2, -1)
         value, cov = cols.sum(axis=0), np.zeros((cols.shape[1],) * 2)
     else:
-        value, cov = _monte_carlo(cols, n)
+        # M2 = sum_b G_b + m_b d_b d_b^T, d_b = block mean - mean (Chan et al.)
+        m, blocks = spec.nodes, []
+        for b, start in enumerate(range(0, m, _BLOCK)):
+            u = sample_directions(n, min(_BLOCK, m - start), spec.seed, block=b)
+            vals = _evaluate(f, u)
+            cols = vals.reshape(len(u), -1)
+            sums = np.array([np.sum(cols[:, j]) for j in range(cols.shape[1])])
+            d = cols - sums / len(u)
+            blocks.append((len(u), sums, d.T @ d))
+        mean = _entrywise_fsum([s for _, s, _ in blocks]) / m
+        surface = sphere_surface_measure(n)
+        value, cov = surface * mean, np.full((len(mean),) * 2, math.inf)
+        if m > 1:
+            m2 = _entrywise_fsum([t for mb, s, gram in blocks for t in (
+                gram, mb * np.outer(s / mb - mean, s / mb - mean))])
+            cov = (surface * surface) * (m2 / (m - 1)) / m
     error = 3.0 * np.sqrt(np.diagonal(cov))
     if vals.ndim == 1:
         return SphereIntegralResult(float(value[0]), float(error[0]), float(cov[0, 0]))

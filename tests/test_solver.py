@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from zetasolve.errors import SingularMatrix, ValidationError
 from zetasolve.solver import (
     LinearSystem,
     cimmino_R_integral,
-    cimmino_Ri_integral,
     numeric_residue_solve,
     solve_direct,
     solve_via_integrals,
@@ -52,13 +52,12 @@ def test_cimmino_r_integral_values():
 
 def test_cimmino_ri_integral_values():
     spec = QuadratureSpec("circle_trapezoid", 256)
-    assert cimmino_Ri_integral(np.eye(2), [1.0, 0.0], 1, spec) == pytest.approx(2 * math.pi, rel=1e-13)
-    assert abs(cimmino_Ri_integral(np.eye(2), [1.0, 0.0], 2, spec)) < 1e-14
-    got = cimmino_Ri_integral(np.diag([2.0, 3.0]), [2.0, 3.0], 1,
-                              QuadratureSpec("circle_trapezoid", 1024))
+    ri = solve_via_integrals(np.eye(2), [1.0, 0.0], spec).Ri
+    assert ri[0] == pytest.approx(2 * math.pi, rel=1e-13)
+    assert abs(ri[1]) < 1e-14
+    got = solve_via_integrals(np.diag([2.0, 3.0]), [2.0, 3.0],
+                              QuadratureSpec("circle_trapezoid", 1024)).Ri[0]
     assert got == pytest.approx(math.pi / 3, rel=1e-11)
-    with pytest.raises(ValidationError):
-        cimmino_Ri_integral(np.eye(2), [1.0, 0.0], 3, spec)
 
 
 def test_solve_via_integrals_deterministic():
@@ -192,3 +191,20 @@ def test_report_json_round_trip():
     back = json.loads(blob)
     assert back["x"]["v"] == [1.0, 3.0]
     assert back["method"]["route"] == "residues"
+
+
+@pytest.mark.parametrize("n, spec", [(8, QuadratureSpec("monte_carlo", 10 ** 6, seed=1)),
+                                     (5, QuadratureSpec("product_gauss", 32))])
+def test_sphere_solve_memory_is_bounded(n, spec):
+    # every rule is evaluated block by block: one array over the whole rule
+    # would be 10^6 x 9 or 2 * 32^4 x 5 doubles, 72 or 84 MB
+    rng = np.random.default_rng(n)
+    a, b = np.eye(n) + 0.2 * rng.standard_normal((n, n)), rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        r = solve_via_integrals(a, b, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(r.x))
+    assert peak < 48 * 2 ** 20

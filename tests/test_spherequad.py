@@ -10,6 +10,7 @@ from zetasolve.spherequad import (
     QuadratureSpec,
     sample_directions,
     sphere_integrate,
+    sphere_quadrature_blocks,
     sphere_quadrature_nodes,
     sphere_surface_measure,
 )
@@ -225,3 +226,104 @@ def test_integrand_shape_rejected():
             sphere_integrate(lambda u: np.ones(len(u) + 1), 3, spec)
         with pytest.raises(ValidationError):
             sphere_integrate(lambda u: np.ones((len(u) - 1, 2)), 3, spec)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sample_directions(3, -1, 0),
+    lambda: sample_directions(3, 5.0, 0),
+    lambda: sample_directions(0, 5, 1),
+    lambda: sample_directions(3.0, 5, 1),
+    lambda: sample_directions(True, 5, 1),
+    lambda: sample_directions(3, 5, 1.5),
+    lambda: sample_directions(3, 5, True),
+    lambda: sample_directions(3, 5, 1, block=-1),
+    lambda: sample_directions(3, 5, 1, block=1.0),
+    lambda: sample_directions(3, 5, 1, block=2 ** 64),
+    lambda: sphere_quadrature_nodes(3, "x"),
+    lambda: sphere_quadrature_nodes(0, QuadratureSpec("product_gauss", 4)),
+    lambda: list(sphere_quadrature_blocks(3, "x")),
+    lambda: list(sphere_quadrature_blocks(True, QuadratureSpec("circle_trapezoid", 4))),
+    lambda: sphere_integrate(ones, 3, "x"),
+], ids=["count<0", "count-float", "n<1", "n-float", "n-bool", "seed-float", "seed-bool",
+        "block<0", "block-float", "block-past-stream", "nodes-spec-str", "nodes-n<1",
+        "blocks-spec-str", "blocks-n-bool", "integrate-spec-str"])
+def test_bad_arguments_raise_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(n=st.integers(2, 6),
+       block=st.integers(0, 2),
+       count=st.integers(0, 2 * 65536 + 7),
+       seed=st.one_of(st.integers(-2 ** 70, 2 ** 70), st.integers(-5, 5)))
+def test_block_is_a_window_of_the_stream(n, block, count, seed):
+    start = block * 65536
+    u = sample_directions(n, start + count, seed)
+    assert np.array_equal(sample_directions(n, count, seed, block=block), u[start:])
+
+
+@pytest.mark.parametrize("f", [lambda u: np.exp(u[:, 0]) / (1.5 + u[:, 1]), moments])
+def test_monte_carlo_matches_two_pass_reference(f):
+    # the streamed value is the whole-array block sums' fsum, bit for bit; the
+    # merged covariance agrees with one centred pass over all samples
+    n, m = 3, 3 * 65536 + 1234
+    spec = QuadratureSpec("monte_carlo", m, seed=21)
+    cols = np.asarray(f(sample_directions(n, m, spec.seed))).reshape(m, -1)
+    blocks = [cols[i:i + 65536] for i in range(0, m, 65536)]
+    mean = np.array([math.fsum(np.sum(b[:, j]) for b in blocks)
+                     for j in range(cols.shape[1])]) / m
+    d = cols - mean
+    surface = sphere_surface_measure(n)
+    cov = surface ** 2 * (d.T @ d) / (m - 1) / m
+    r = sphere_integrate(f, n, spec)
+    assert np.array_equal(np.atleast_1d(r.value), surface * mean)
+    scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+    assert np.all(np.abs(np.atleast_2d(r.covariance) - cov) <= 1e-13 * scale)
+
+
+def _product_gauss_reference(n, order):
+    """The product rule built from one full meshgrid of every angle."""
+    x, wx = np.polynomial.legendre.leggauss(order)
+    theta, wtheta = 0.5 * math.pi * (x + 1.0), 0.5 * math.pi * wx
+    phi = 2.0 * math.pi * np.arange(2 * order) / (2 * order)
+    grids = np.meshgrid(*([theta] * (n - 2) + [phi]), indexing="ij")
+    wgrids = np.meshgrid(*([wtheta] * (n - 2) + [np.full(2 * order, math.pi / order)]),
+                         indexing="ij")
+    w = np.ones_like(grids[0])
+    for k in range(n - 2):
+        w = w * wgrids[k] * np.sin(grids[k]) ** (n - 2 - k)
+    w = w * wgrids[n - 2]
+    u = np.empty(grids[0].shape + (n,))
+    sin_prod = np.ones_like(grids[0])
+    for k in range(n - 2):
+        u[..., k] = sin_prod * np.cos(grids[k])
+        sin_prod = sin_prod * np.sin(grids[k])
+    u[..., n - 2] = sin_prod * np.cos(grids[n - 2])
+    u[..., n - 1] = sin_prod * np.sin(grids[n - 2])
+    return u.reshape(-1, n), w.reshape(-1)
+
+
+@pytest.mark.parametrize("n, order", [(3, 48), (4, 44), (5, 20)])
+def test_nodes_are_the_concatenated_blocks(n, order):
+    spec = QuadratureSpec("product_gauss", order)
+    chunks = list(sphere_quadrature_blocks(n, spec))
+    assert len(chunks) == (1 if n == 3 else 3 if n == 4 else 5)
+    u, w = sphere_quadrature_nodes(n, spec)
+    assert np.array_equal(u, np.concatenate([c[0] for c in chunks]))
+    assert np.array_equal(w, np.concatenate([c[1] for c in chunks]))
+    ref_u, ref_w = _product_gauss_reference(n, order)
+    assert np.array_equal(u, ref_u) and np.array_equal(w, ref_w)
+    assert all(len(cu) == len(cw) <= 65536 for cu, cw in chunks)
+
+
+def test_block_row_bounds():
+    m = 70000
+    chunks = list(sphere_quadrature_blocks(2, QuadratureSpec("circle_trapezoid", m)))
+    assert [len(u) for u, _ in chunks] == [65536, m - 65536]
+    u, w = sphere_quadrature_nodes(2, QuadratureSpec("circle_trapezoid", m))
+    theta = 2.0 * math.pi * np.arange(m) / m
+    assert np.array_equal(u, np.column_stack([np.cos(theta), np.sin(theta)]))
+    # one outermost polar node of n = 5 at order 33 is 2 * 33^3 > 65536 rows
+    rows = [len(u) for u, _ in sphere_quadrature_blocks(5, QuadratureSpec("product_gauss", 33))]
+    assert rows == [2 * 33 ** 3] * 33
