@@ -41,7 +41,6 @@ from .quadforms import (
     dual_lattice,
     gram_transform,
     matrix_from_json,
-    qeval,
     qeval_many,
     sym_outer,
     trace_product,
@@ -68,7 +67,6 @@ from .spherequad import (
     sample_directions,
     sphere_integrate,
     sphere_quadrature_blocks,
-    sphere_quadrature_nodes,
     sphere_surface_measure,
 )
 from .theta import (

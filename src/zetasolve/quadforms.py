@@ -84,13 +84,6 @@ def as_symmetric(m, n: int | None = None) -> np.ndarray:
     return _freeze((a + a.T) / 2.0)
 
 
-def qeval(Q, x) -> float:
-    """Quadratic form value ``<Q x, x>``."""
-    Qm = Q.matrix if isinstance(Q, SPDForm) else as_symmetric(Q)
-    v = as_vector(x, Qm.shape[0])
-    return float(v @ Qm @ v)
-
-
 def qeval_many(Q, points: np.ndarray) -> np.ndarray:
     """Quadratic form along the rows of ``points`` (shape ``(m, n)``)."""
     Qm = Q.matrix if isinstance(Q, SPDForm) else as_symmetric(Q)
@@ -238,7 +231,7 @@ def trace_product(Q, B) -> float:
 def sym_outer(u, v) -> np.ndarray:
     """Symmetrized outer product ``(u v^T + v u^T) / 2``.
 
-    Satisfies ``qeval(sym_outer(u, v), x) == <u, x> <v, x>`` and
+    Satisfies ``x^T sym_outer(u, v) x == <u, x> <v, x>`` and
     ``trace == <u, v>``.
     """
     uu = as_vector(u)

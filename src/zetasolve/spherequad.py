@@ -47,11 +47,27 @@ block keeps its column sums and the Gram matrix of its deviations from its
 own mean, merged into the centred covariance by Chan, Golub and LeVeque
 (Am. Stat. 37, 1983); a deterministic chunk keeps its weighted sums.  Each
 merge is an ``fsum`` entry by entry in block order.
+
+Monte Carlo blocks are shared by the calling thread and at most one helper
+thread, started per call and joined before it returns.  Each thread takes the
+next block index in turn, and each block's sums are stored under its index, so
+the merge and every result are bitwise the same for any thread count.  ``f``
+may therefore be called from two threads at once, on disjoint blocks, and in
+any block order.  The helper count is
+``min(1, usable CPUs // BLAS threads - 1, blocks - 1)``: BLAS threads come
+from ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``, and
+unset means every CPU, so the helper only uses a CPU that BLAS leaves idle.
+On a host where BLAS takes every CPU, Monte Carlo runs on the caller alone;
+``OPENBLAS_NUM_THREADS=1`` lets it use a spare CPU.  The deterministic rules
+run on the caller.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,11 +204,82 @@ def sphere_quadrature_blocks(n: int, spec: QuadratureSpec):
         yield u.reshape(-1, n), w.reshape(-1)
 
 
-def sphere_quadrature_nodes(n: int, spec: QuadratureSpec):
-    """Nodes and weights ``(U, w)`` for the deterministic rules: the chunks of
-    :func:`sphere_quadrature_blocks`, concatenated.  Raises for ``monte_carlo``."""
-    us, ws = zip(*sphere_quadrature_blocks(n, spec))
-    return np.concatenate(us), np.concatenate(ws)
+# ---------------------------------------------------------------------------
+# Monte Carlo blocks on the caller and helper threads
+# ---------------------------------------------------------------------------
+
+_HELPERS = None  # helper threads per Monte Carlo call; None applies _helper_count's rule
+
+
+def _helper_count(blocks: int) -> int:
+    """min(1, usable CPUs // BLAS threads - 1, blocks - 1), at least 0: the
+    helper only uses a CPU that BLAS leaves idle (unset BLAS variables mean
+    every CPU).  One helper is the most measured so far, on 2 CPUs."""
+    if _HELPERS is not None:
+        return max(0, min(_HELPERS, blocks - 1))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # pragma: no cover - not Linux
+        cpus = os.cpu_count() or 1
+    blas = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(0, min(1, cpus // blas - 1, blocks - 1))
+
+
+def _map_blocks(task, count: int, helpers: int) -> list:
+    """``[task(b)[1] for b in range(count)]``, the blocks shared by the caller
+    and ``helpers`` threads, each taking the next index in turn.
+
+    ``task(b)`` returns ``(keep, result)``.  Each thread holds its last
+    ``keep`` while it runs its next task, as a serial loop holds its loop
+    variable, so malloc reuses those pages: freeing a whole Monte Carlo block
+    at once handed them back to the OS, and the next block faulted them in
+    again (23000-38000 minor faults per serial n = 8 solve at 10^6 samples,
+    against about 2000).
+
+    Helpers run in copies of the caller's ``contextvars`` context (numpy's
+    ``errstate`` lives there) and are joined before returning.  On failure the
+    exception of the lowest failed block is raised, as the serial loop would.
+    """
+    results, failed, lock = [None] * count, {}, threading.Lock()
+    pending = iter(range(count))
+
+    def work():
+        keep = None
+        while True:
+            with lock:
+                b = None if failed else next(pending, None)
+            if b is None:
+                return
+            try:
+                keep, results[b] = task(b)
+            except BaseException as exc:  # re-raised in the caller
+                with lock:
+                    failed[b] = exc
+
+    threads = []
+    try:
+        for _ in range(helpers):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+            thread.start()
+            threads.append(thread)
+    except RuntimeError:  # no thread to be had: the caller carries on alone
+        pass
+    try:
+        work()
+    finally:
+        with lock:
+            for _ in pending:  # hand out no more blocks
+                pass
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 def _evaluate(f, u: np.ndarray) -> np.ndarray:
@@ -216,7 +303,9 @@ def sphere_integrate(f, n: int, spec: QuadratureSpec) -> SphereIntegralResult:
     """Approximate ``integral over S^(n-1) of f(u) du`` (unnormalized measure)
     for ``(m,)`` or ``(m, k)`` integrands (see the module docstring).
 
-    Deterministic given the spec (including the seed for Monte Carlo).
+    Deterministic given the spec (including the seed for Monte Carlo), and the
+    same with or without the helper thread.  ``f`` must be safe to call from
+    two threads at once on disjoint blocks, in any block order.
     """
     if not isinstance(spec, QuadratureSpec):
         raise ValidationError("spec must be a QuadratureSpec")
@@ -231,26 +320,32 @@ def sphere_integrate(f, n: int, spec: QuadratureSpec) -> SphereIntegralResult:
 
     if n == 1:
         vals = _evaluate(f, np.array([[1.0], [-1.0]]))
-        cols = vals.reshape(2, -1)
+        ndim, cols = vals.ndim, vals.reshape(2, -1)
         value, cov = cols.sum(axis=0), np.zeros((cols.shape[1],) * 2)
     else:
-        # M2 = sum_b G_b + m_b d_b d_b^T, d_b = block mean - mean (Chan et al.)
-        m, blocks = spec.nodes, []
-        for b, start in enumerate(range(0, m, _BLOCK)):
-            u = sample_directions(n, min(_BLOCK, m - start), spec.seed, block=b)
-            vals = _evaluate(f, u)
-            cols = vals.reshape(len(u), -1)
+        m = spec.nodes
+        count = -(-m // _BLOCK)
+
+        def block(b):  # vals, (ndim, m_b, column sums, Gram of deviations from the block mean)
+            u = sample_directions(n, min(_BLOCK, m - b * _BLOCK), spec.seed, block=b)
+            vals, m_b = _evaluate(f, u), len(u)
+            del u  # not needed past f: the block's peak stays at f
+            cols = vals.reshape(m_b, -1)
             sums = np.array([np.sum(cols[:, j]) for j in range(cols.shape[1])])
-            d = cols - sums / len(u)
-            blocks.append((len(u), sums, d.T @ d))
-        mean = _entrywise_fsum([s for _, s, _ in blocks]) / m
+            d = cols - sums / m_b
+            return vals, (vals.ndim, m_b, sums, d.T @ d)
+
+        blocks = _map_blocks(block, count, _helper_count(count))
+        ndim = blocks[-1][0]
+        # M2 = sum_b G_b + m_b d_b d_b^T, d_b = block mean - mean (Chan et al.)
+        mean = _entrywise_fsum([s for _, _, s, _ in blocks]) / m
         surface = sphere_surface_measure(n)
         value, cov = surface * mean, np.full((len(mean),) * 2, math.inf)
         if m > 1:
-            m2 = _entrywise_fsum([t for mb, s, gram in blocks for t in (
+            m2 = _entrywise_fsum([t for _, mb, s, gram in blocks for t in (
                 gram, mb * np.outer(s / mb - mean, s / mb - mean))])
             cov = (surface * surface) * (m2 / (m - 1)) / m
     error = 3.0 * np.sqrt(np.diagonal(cov))
-    if vals.ndim == 1:
+    if ndim == 1:
         return SphereIntegralResult(float(value[0]), float(error[0]), float(cov[0, 0]))
     return SphereIntegralResult(value, error, cov)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from zetasolve.quadforms import Lattice, cholesky, qeval, sym_outer, trace_product
+from zetasolve.quadforms import Lattice, cholesky, sym_outer, trace_product
 from zetasolve.solver import (
     numeric_residue_solve,
     solve_via_integrals,
@@ -335,7 +335,7 @@ def test_criterion_8_oracle_overlap():
         box = int(math.floor(math.sqrt(radius / lam))) + 1
         brute = {
             w for w in itertools.product(range(-box, box + 1), repeat=n)
-            if any(w) and qeval(q, np.array(w, float)) <= radius
+            if any(w) and w @ q @ w <= radius
         }
         got = set(map(tuple, enumerate_ellipsoid(q, radius).points))
         complete = complete and got == brute

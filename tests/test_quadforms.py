@@ -16,7 +16,6 @@ from zetasolve.quadforms import (
     dual_lattice,
     gram_transform,
     matrix_from_json,
-    qeval,
     qeval_many,
     sym_outer,
     trace_product,
@@ -32,16 +31,24 @@ def random_spd(rng, n, spread=2.0):
     return m @ m.T + spread * np.eye(n)
 
 
+def qeval(Q, x) -> float:
+    """Scalar oracle ``<Q x, x>``, written out as a double sum."""
+    return sum(Q[i][j] * x[i] * x[j] for i in range(len(x)) for j in range(len(x)))
+
+
 def test_qeval_examples():
-    assert qeval(I2, [3.0, 4.0]) == 25.0
-    assert qeval(np.diag([2.0, 3.0]), [1.0, 1.0]) == 5.0
+    assert qeval_many(I2, [[3.0, 4.0]])[0] == 25.0
+    assert qeval_many(np.diag([2.0, 3.0]), [[1.0, 1.0]])[0] == 5.0
     # hand expansion: 2*1 + 2*(1*1*2) + 3*4 = 18
-    assert qeval([[2.0, 1.0], [1.0, 3.0]], [1.0, 2.0]) == pytest.approx(18.0, abs=1e-12)
+    q = [[2.0, 1.0], [1.0, 3.0]]
+    assert qeval_many(q, [[1.0, 2.0]])[0] == pytest.approx(18.0, abs=1e-12)
 
 
 def test_qeval_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        qeval(I2, [1.0, 2.0, 3.0])
+        qeval_many(I2, [[1.0, 2.0, 3.0]])
+    with pytest.raises(DimensionMismatch):
+        qeval_many(I2, [1.0, 2.0])
 
 
 def test_cholesky_examples():
@@ -187,6 +194,6 @@ def test_json_rejects_bad_input():
 def test_scalar_matrices_supported():
     f = cholesky([[4.0]])
     assert f.det == pytest.approx(4.0)
-    assert qeval([[4.0]], [3.0]) == pytest.approx(36.0)
+    assert qeval_many([[4.0]], [[3.0]])[0] == pytest.approx(36.0)
     L = Lattice([[2.0]])
     assert dual_lattice(L).gen[0, 0] == pytest.approx(0.5)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import zetasolve.spherequad as spherequad
 from zetasolve.errors import SingularMatrix, ValidationError
 from zetasolve.solver import (
     LinearSystem,
@@ -208,3 +209,22 @@ def test_sphere_solve_memory_is_bounded(n, spec):
         tracemalloc.stop()
     assert np.all(np.isfinite(r.x))
     assert peak < 48 * 2 ** 20
+
+
+def test_sphere_solve_memory_is_bounded_with_helper(monkeypatch):
+    # two Monte Carlo blocks in flight at once stay under the same bound
+    monkeypatch.setattr(spherequad, "_HELPERS", 1)
+    test_sphere_solve_memory_is_bounded(8, QuadratureSpec("monte_carlo", 10 ** 6, seed=1))
+
+
+def test_monte_carlo_solve_is_bitwise_serial(monkeypatch):
+    rng = np.random.default_rng(4)
+    a, b = np.eye(4) + 0.2 * rng.standard_normal((4, 4)), rng.standard_normal(4)
+    spec = QuadratureSpec("monte_carlo", 3 * 65536 + 1234, seed=9)
+    monkeypatch.setattr(spherequad, "_HELPERS", 0)
+    serial = solve_via_integrals(a, b, spec)
+    monkeypatch.setattr(spherequad, "_HELPERS", 1)
+    r = solve_via_integrals(a, b, spec)
+    assert r.R == serial.R
+    for name in ("Ri", "x", "x_error3sigma"):
+        assert np.array_equal(getattr(r, name), getattr(serial, name))

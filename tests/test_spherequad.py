@@ -1,23 +1,30 @@
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zetasolve.spherequad as spherequad
 from zetasolve.errors import NonFiniteIntegrand, ValidationError
 from zetasolve.spherequad import (
     QuadratureSpec,
     sample_directions,
     sphere_integrate,
     sphere_quadrature_blocks,
-    sphere_quadrature_nodes,
     sphere_surface_measure,
 )
 
 
 def ones(u):
     return np.ones(len(u))
+
+
+def concatenated_blocks(n, spec):
+    us, ws = zip(*sphere_quadrature_blocks(n, spec))
+    return np.concatenate(us), np.concatenate(ws)
 
 
 def test_surface_measures():
@@ -173,13 +180,13 @@ def test_deterministic_error_estimates():
 
 
 def test_nodes_shapes():
-    u, w = sphere_quadrature_nodes(2, QuadratureSpec("circle_trapezoid", 32))
+    u, w = concatenated_blocks(2, QuadratureSpec("circle_trapezoid", 32))
     assert u.shape == (32, 2) and w.shape == (32,)
-    u, w = sphere_quadrature_nodes(4, QuadratureSpec("product_gauss", 8))
+    u, w = concatenated_blocks(4, QuadratureSpec("product_gauss", 8))
     assert u.shape == (8 * 8 * 16, 4)
     assert np.allclose(np.linalg.norm(u, axis=1), 1.0)
     with pytest.raises(ValidationError):
-        sphere_quadrature_nodes(3, QuadratureSpec("monte_carlo", 100))
+        list(sphere_quadrature_blocks(3, QuadratureSpec("monte_carlo", 100)))
 
 
 def moments(u):
@@ -239,14 +246,13 @@ def test_integrand_shape_rejected():
     lambda: sample_directions(3, 5, 1, block=-1),
     lambda: sample_directions(3, 5, 1, block=1.0),
     lambda: sample_directions(3, 5, 1, block=2 ** 64),
-    lambda: sphere_quadrature_nodes(3, "x"),
-    lambda: sphere_quadrature_nodes(0, QuadratureSpec("product_gauss", 4)),
     lambda: list(sphere_quadrature_blocks(3, "x")),
+    lambda: list(sphere_quadrature_blocks(0, QuadratureSpec("product_gauss", 4))),
     lambda: list(sphere_quadrature_blocks(True, QuadratureSpec("circle_trapezoid", 4))),
     lambda: sphere_integrate(ones, 3, "x"),
 ], ids=["count<0", "count-float", "n<1", "n-float", "n-bool", "seed-float", "seed-bool",
-        "block<0", "block-float", "block-past-stream", "nodes-spec-str", "nodes-n<1",
-        "blocks-spec-str", "blocks-n-bool", "integrate-spec-str"])
+        "block<0", "block-float", "block-past-stream", "blocks-spec-str", "blocks-n<1",
+        "blocks-n-bool", "integrate-spec-str"])
 def test_bad_arguments_raise_validation_error(call):
     with pytest.raises(ValidationError):
         call()
@@ -309,9 +315,7 @@ def test_nodes_are_the_concatenated_blocks(n, order):
     spec = QuadratureSpec("product_gauss", order)
     chunks = list(sphere_quadrature_blocks(n, spec))
     assert len(chunks) == (1 if n == 3 else 3 if n == 4 else 5)
-    u, w = sphere_quadrature_nodes(n, spec)
-    assert np.array_equal(u, np.concatenate([c[0] for c in chunks]))
-    assert np.array_equal(w, np.concatenate([c[1] for c in chunks]))
+    u, w = concatenated_blocks(n, spec)
     ref_u, ref_w = _product_gauss_reference(n, order)
     assert np.array_equal(u, ref_u) and np.array_equal(w, ref_w)
     assert all(len(cu) == len(cw) <= 65536 for cu, cw in chunks)
@@ -321,9 +325,104 @@ def test_block_row_bounds():
     m = 70000
     chunks = list(sphere_quadrature_blocks(2, QuadratureSpec("circle_trapezoid", m)))
     assert [len(u) for u, _ in chunks] == [65536, m - 65536]
-    u, w = sphere_quadrature_nodes(2, QuadratureSpec("circle_trapezoid", m))
+    u, w = concatenated_blocks(2, QuadratureSpec("circle_trapezoid", m))
     theta = 2.0 * math.pi * np.arange(m) / m
     assert np.array_equal(u, np.column_stack([np.cos(theta), np.sin(theta)]))
     # one outermost polar node of n = 5 at order 33 is 2 * 33^3 > 65536 rows
     rows = [len(u) for u, _ in sphere_quadrature_blocks(5, QuadratureSpec("product_gauss", 33))]
     assert rows == [2 * 33 ** 3] * 33
+
+
+# Monte Carlo blocks run on the caller and spherequad._HELPERS helper threads
+# (the library's rule allows at most one).
+M_THREADED = 3 * 65536 + 1234
+
+
+@pytest.mark.parametrize("f", [lambda u: np.exp(u[:, 0]) / (1.5 + u[:, 1]), moments])
+def test_helper_thread_is_bitwise_serial(monkeypatch, f):
+    spec = QuadratureSpec("monte_carlo", M_THREADED, seed=21)
+    monkeypatch.setattr(spherequad, "_HELPERS", 0)
+    serial = sphere_integrate(f, 3, spec)
+    monkeypatch.setattr(spherequad, "_HELPERS", 1)
+    r = sphere_integrate(f, 3, spec)
+    assert type(r.value) is type(serial.value)
+    for got, want in ((r.value, serial.value), (r.error_estimate, serial.error_estimate),
+                      (r.covariance, serial.covariance)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("helpers", [0, 1])
+def test_helper_failure_raises_the_lowest_block_and_joins(monkeypatch, helpers):
+    # block 2 returns inf, block 3 the wrong shape: the serial loop raises at block 2
+    monkeypatch.setattr(spherequad, "_HELPERS", helpers)
+    first = {b: sample_directions(3, 1, 5, block=b)[0].tobytes() for b in (2, 3)}
+
+    def f(u):
+        if u[0].tobytes() == first[2]:
+            return np.full(len(u), np.inf)
+        return np.ones(len(u) + (u[0].tobytes() == first[3]))
+
+    before = threading.active_count()
+    with pytest.raises(NonFiniteIntegrand):
+        sphere_integrate(f, 3, QuadratureSpec("monte_carlo", M_THREADED, seed=5))
+    assert threading.active_count() == before
+
+
+def test_helper_runs_in_the_callers_errstate(monkeypatch):
+    monkeypatch.setattr(spherequad, "_HELPERS", 1)
+    caller, helper_ran = threading.get_ident(), threading.Event()
+
+    def f(u):  # overflows on the helper only; the caller waits for it
+        if threading.get_ident() == caller:
+            helper_ran.wait(10.0)
+            return np.ones(len(u))
+        helper_ran.set()
+        return np.exp(np.full(len(u), 710.0))
+
+    spec = QuadratureSpec("monte_carlo", M_THREADED, seed=2)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        sphere_integrate(f, 3, spec)
+    helper_ran.clear()
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteIntegrand):
+        sphere_integrate(f, 3, spec)
+
+
+def test_integrand_is_called_from_two_threads_once_per_block(monkeypatch):
+    # the contract a stateful integrand must meet: calls may come from the
+    # caller and the helper at once, each block exactly once, in any order
+    monkeypatch.setattr(spherequad, "_HELPERS", 1)
+    caller, lock, calls = threading.get_ident(), threading.Lock(), []
+    ran = {True: threading.Event(), False: threading.Event()}  # by "on the caller"
+
+    def f(u):  # each thread's first call waits for the other's
+        on_caller = threading.get_ident() == caller
+        ran[on_caller].set()
+        ran[not on_caller].wait(10.0)
+        with lock:
+            calls.append((on_caller, u[0].tobytes()))
+        return np.ones(len(u))
+
+    r = sphere_integrate(f, 3, QuadratureSpec("monte_carlo", M_THREADED, seed=8))
+    assert r.value == pytest.approx(sphere_surface_measure(3))
+    firsts = [sample_directions(3, 1, 8, block=b)[0].tobytes() for b in range(4)]
+    assert sorted(row for _, row in calls) == sorted(firsts)
+    assert {on_caller for on_caller, _ in calls} == {True, False}
+
+
+def test_map_blocks_hands_out_each_block_once():
+    # a short switch interval: a block handed out twice or lost would show as
+    # a duplicate or a gap
+    calls = []
+
+    def task(b):
+        calls.append(b)
+        return None, b
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = spherequad._map_blocks(task, 2000, 1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(calls) == list(range(2000))
+    assert results == list(range(2000))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from zetasolve.errors import DegenerateGrid, TooManyPoints, ValidationError
-from zetasolve.quadforms import SPDForm, cholesky, qeval
+from zetasolve.quadforms import SPDForm, cholesky
 from zetasolve.theta import (
     enumerate_ellipsoid,
     theta_asymptotic_fit,
@@ -27,7 +27,7 @@ def brute_force_points(Q, R):
     box = int(math.floor(math.sqrt(R / lam_min))) + 1
     out = set()
     for w in itertools.product(range(-box, box + 1), repeat=n):
-        if any(w) and qeval(Q, np.array(w, float)) <= R:
+        if any(w) and w @ Q @ w <= R:
             out.add(w)
     return out
 
