@@ -16,7 +16,7 @@ paths, output format, and the random seed.  Records are emitted on stdout
 (JSON lines or CSV), diagnostics on stderr.
 
 Exit codes: 0 ok; 2 validation error; 3 pole; 4 verification or tolerance
-failure; 5 singular matrix.
+failure, or an evaluation that failed or ran out of memory; 5 singular matrix.
 """
 
 from __future__ import annotations
@@ -204,21 +204,13 @@ def _zeta_family(data: dict, command: str) -> _Family:
                        a.shape[0] / 2.0 + 1.0, lambda: residue_vector(a, b))
     q = matrix_from_json(_field(data, "Q", command))
     n = q.shape[0]
-    lat = Lattice(matrix_from_json(data["lattice"])) if "lattice" in data else None
-    res_lat = lat if lat is not None else Lattice(np.eye(n))
+    lat = Lattice(matrix_from_json(data["lattice"]) if "lattice" in data else np.eye(n))
     if "B" in data:
         bmat = matrix_from_json(data["B"])
-        if lat is None:
-            evaluate = lambda s: weighted_continued(q, bmat, s)  # noqa: E731
-        else:
-            evaluate = lambda s: lattice_weighted_zeta(lat, q, bmat, s)  # noqa: E731
-        return _Family("weighted", evaluate, n / 2.0 + 1.0,
-                       lambda: residue_weighted(res_lat, q, bmat))
-    if lat is None:
-        evaluate = lambda s: epstein_continued(q, s)  # noqa: E731
-    else:
-        evaluate = lambda s: lattice_zeta(lat, q, s)  # noqa: E731
-    return _Family("epstein", evaluate, n / 2.0, lambda: residue_epstein(res_lat, q))
+        return _Family("weighted", lambda s: lattice_weighted_zeta(lat, q, bmat, s),
+                       n / 2.0 + 1.0, lambda: residue_weighted(lat, q, bmat))
+    return _Family("epstein", lambda s: lattice_zeta(lat, q, s), n / 2.0,
+                   lambda: residue_epstein(lat, q))
 
 
 # the operand fields each functional-equation family reads
@@ -563,6 +555,9 @@ def main(argv=None) -> int:
         return _EXIT_VALIDATION
     except (DegenerateQuadrature, EvaluationFailure) as exc:
         sys.stderr.write(f"evaluation failed: {exc}\n")
+        return _EXIT_TOLERANCE
+    except MemoryError:
+        sys.stderr.write("evaluation failed: out of memory\n")
         return _EXIT_TOLERANCE
 
 

@@ -7,19 +7,20 @@ Direct route (inside the convergence half-plane): truncated Dirichlet sums
 
 with rigorous integral-comparison tail bounds.
 
-Continued route (everywhere except the single pole): the Mellin integral of
-the matching theta series is split at t = 1 and each tail integral is an
-upper incomplete gamma, giving
+Continued route (everywhere except the single pole): every family goes
+through one Mellin split of its theta series at t = 1.  Each side is a
+lattice sum ``S = sum' weight(w) (pi q)^-a Gamma(a, pi q)`` over one form,
+and the t < 1 part of the transformed theta series leaves one pole term:
 
-    zeta(Q, s) = pi^s / Gamma(s) * [  sum' (pi q_Q)^(-s)  Gamma(s, pi q_Q)
-        + det(Q)^(-1/2) sum' (pi q')^(s - n/2) Gamma(n/2 - s, pi q')
-        + det(Q)^(-1/2) / (s - n/2)  -  1/s ],
+    zeta = pi^s / Gamma(s) * [sum_sides coef S + coef_last / (s - pole)].
 
-where q' runs over the inverse form.  The -1/s term is folded into the
-prefactor through 1/(s Gamma(s)) = 1/Gamma(s+1), so the expression is
-manifestly regular at s = 0 (value exactly -1) and at the negative integers
-(trivial zeros).  The weighted variant uses the two-term Fourier transform
-of the weighted Gaussian and carries its pole at s = n/2 + 1.
+Epstein: sides (Q, a = s, 1, coef 1) and (Q^-1, n/2 - s, 1, det(Q)^(-1/2)),
+pole n/2.  Its theta series has the w = 0 term; its -1/s is folded in as
+-pi^s / Gamma(s+1), so the value is regular at s = 0 (exactly -1) and at
+the negative integers (trivial zeros).  Weighted (no w = 0 term): sides
+(Q, s, q_B, 1), (Q^-1, n/2 + 2 - s, q_C, -det(Q)^(-1/2)) with
+C = Q^-1 B Q^-1, and (Q^-1, n/2 + 1 - s, 1, Tr(Q^-1 B) det(Q)^(-1/2) / 2pi),
+pole n/2 + 1.  The lattice and vector families reduce to these two.
 
 The split is balanced by homogeneity: with c = det(Q)^(1/n),
 
@@ -72,6 +73,7 @@ from .errors import (
     EvaluationFailure,
     OutsideConvergence,
     TooCloseToPole,
+    ZetaSolveError,
 )
 from .quadforms import (
     Lattice,
@@ -258,13 +260,6 @@ def _zeta_value(value, err, single: bool) -> ZetaValue:
     return ZetaValue(value, err)
 
 
-def _prefactors(s: np.ndarray):
-    """``(pi^s, 1/Gamma(s))`` at every point."""
-    pis = np.array([_pi_pow(z) for z in s.tolist()], dtype=complex)
-    rg = np.array([reciprocal_gamma(z) for z in s.tolist()], dtype=complex)
-    return pis, rg
-
-
 # ---------------------------------------------------------------------------
 # direct Dirichlet sums
 # ---------------------------------------------------------------------------
@@ -336,6 +331,56 @@ def weighted_direct(Q, B, s, tol: float) -> ZetaValue:
 # analytic continuation
 # ---------------------------------------------------------------------------
 
+def _dual_weight(Qf: SPDForm, B: np.ndarray) -> np.ndarray:
+    """The symmetrised weight ``C = Q^-1 B Q^-1`` of the dual side."""
+    c = Qf.inv @ B @ Qf.inv
+    return (c + c.T) / 2.0
+
+
+def _continued(Qf: SPDForm, s: np.ndarray, single: bool, mats=None):
+    """The Mellin split (module docstring) of the Epstein family, or of the
+    weighted family once per weight of ``mats``; also assembles the bar
+    ``|pi^s| |1/Gamma(s)| sum |coef| tail``, its rounding floor and the
+    det-1 rescaling.  Returns one ZetaValue, or a list of one per weight."""
+    n = Qf.n
+    epstein = mats is None
+    pole = n / 2.0 if epstein else n / 2.0 + 1.0
+    _exclude_pole(s, pole, "n/2" if epstein else "n/2+1")
+    if not epstein and all(not B.any() for B in mats):
+        zero = np.zeros(s.size, dtype=complex)
+        return [_zeta_value(zero, zero.real, single) for _ in mats]
+    unit = Qf.unit_form()
+    inv_f = unit.inverse_form()
+    droot = 1.0 / unit.sqrt_det
+    if epstein:
+        sides = [(unit, s, None, 1.0), (inv_f, n / 2.0 - s, None, droot)]
+    else:
+        sig = s - 1.0
+        tr = np.array([trace_product(unit, B) for B in mats]) / (2.0 * math.pi)
+        sides = [(unit, s, mats, 1.0),
+                 (inv_f, n / 2.0 - sig + 1.0, [_dual_weight(unit, B) for B in mats], -droot),
+                 (inv_f, n / 2.0 - sig, None, tr * droot)]
+    bracket = bar = 0.0
+    for form, a, weights, coef in sides:
+        S, tail = _half_sum(form, a, weights)
+        bracket = bracket + coef * (S if weights else S[:, None])
+        bar = bar + np.abs(coef) * tail[:, None]
+    pis = np.array([_pi_pow(z) for z in s.tolist()], dtype=complex)[:, None]
+    rg = np.array([reciprocal_gamma(z) for z in s.tolist()], dtype=complex)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # _rescaled checks the result
+        bracket = bracket + sides[-1][3] / (s - pole)[:, None]
+        value = rg * bracket
+        if epstein:
+            value = value - np.array([reciprocal_gamma(z + 1.0) for z in s.tolist()],
+                                     dtype=complex)[:, None]
+        value = pis * value
+        err = np.abs(pis) * np.abs(rg) * bar
+        err += 1e-15 * (1.0 + np.abs(value))
+    value, err = _rescaled(Qf, s, value, err)
+    values = [_zeta_value(value[:, j], err[:, j], single) for j in range(value.shape[1])]
+    return values[0] if epstein else values
+
+
 def epstein_continued(Q, s) -> ZetaValue:
     """``zeta(q_Q, s)`` everywhere except the pole at s = n/2.
 
@@ -344,63 +389,14 @@ def epstein_continued(Q, s) -> ZetaValue:
     special value -1; at the negative integers it produces the trivial zeros.
     """
     s, single = _points(s)
-    Qf = cholesky(Q)
-    n = Qf.n
-    _exclude_pole(s, n / 2.0, "n/2")
-    unit = Qf.unit_form()
-    sum_main, tail_main = _half_sum(unit, s)
-    sum_dual, tail_dual = _half_sum(unit.inverse_form(), n / 2.0 - s)
-    droot = 1.0 / unit.sqrt_det
-    bracket = sum_main + droot * sum_dual + droot / (s - n / 2.0)
-    pis, rg = _prefactors(s)
-    rg1 = np.array([reciprocal_gamma(z + 1.0) for z in s.tolist()], dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # _rescaled checks the result
-        value = pis * (rg * bracket - rg1)
-        err = np.abs(pis) * np.abs(rg) * (tail_main + droot * tail_dual)
-        err += 1e-15 * (1.0 + np.abs(value))
-    return _zeta_value(*_rescaled(Qf, s, value, err), single)
-
-
-def _weighted_many(Qf: SPDForm, mats: list[np.ndarray], s: np.ndarray,
-                   single: bool) -> list[ZetaValue]:
-    """weighted_continued for several weights sharing all lattice data."""
-    n = Qf.n
-    _exclude_pole(s, n / 2.0 + 1.0, "n/2+1")
-    if all(not B.any() for B in mats):
-        zero = np.zeros(s.size, dtype=complex)
-        return [_zeta_value(zero, zero.real, single) for _ in mats]
-    unit = Qf.unit_form()
-    inv_f = unit.inverse_form()
-    droot = 1.0 / unit.sqrt_det
-    cs = []
-    for Bm in mats:
-        c = unit.inv @ Bm @ unit.inv
-        cs.append((c + c.T) / 2.0)
-    tr = np.array([trace_product(unit, Bm) for Bm in mats]) / (2.0 * math.pi)
-
-    sig = s - 1.0
-    sum_main, tail_main = _half_sum(unit, s, mats)
-    sum_poly, tail_poly = _half_sum(inv_f, n / 2.0 - sig + 1.0, cs)
-    sum_gauss, tail_gauss = _half_sum(inv_f, n / 2.0 - sig)
-
-    pis, rg = _prefactors(s)
-    pref = (pis * rg)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # _rescaled checks the result
-        bracket = (sum_main - droot * sum_poly
-                   + tr * droot * (sum_gauss + 1.0 / (sig - n / 2.0))[:, None])
-        value = pref * bracket
-        err = np.abs(pref) * ((tail_main + droot * tail_poly)[:, None]
-                              + np.abs(tr) * droot * tail_gauss[:, None])
-        err += 1e-15 * (1.0 + np.abs(value))
-    value, err = _rescaled(Qf, s, value, err)
-    return [_zeta_value(value[:, j], err[:, j], single) for j in range(len(mats))]
+    return _continued(cholesky(Q), s, single)
 
 
 def weighted_continued(Q, B, s) -> ZetaValue:
     """``zeta(q_Q, q_B, s)`` everywhere except the pole at s = n/2 + 1."""
     Qf = cholesky(Q)
     Bm = as_symmetric(B, Qf.n)
-    return _weighted_many(Qf, [Bm], *_points(s))[0]
+    return _continued(Qf, *_points(s), [Bm])[0]
 
 
 def lattice_zeta(L, Q, s) -> ZetaValue:
@@ -435,7 +431,7 @@ def vector_zeta(A, b, s) -> list[ZetaValue]:
     checked_det(Am, "vector zeta needs an invertible matrix")
     gram = cholesky(gram_transform(np.eye(n), Am))
     mats = [sym_outer(bv, Am[j, :]) for j in range(n)]
-    return _weighted_many(gram, mats, *_points(s))
+    return _continued(gram, *_points(s), mats)
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +495,16 @@ def residue_numeric(evaluator, s0: float, rho: float = RESIDUE_RHO,
     list of ``k`` of those (as :func:`vector_zeta` returns for an array of
     points).  Every continued evaluator of this module qualifies.  ``(m,)``
     results give a complex residue, the others an ``ndarray`` of ``k``
-    residues; the sum runs in node order.
+    residues; the sum runs in node order.  A :class:`ZetaSolveError` of the
+    evaluator propagates unchanged; any other exception is raised as
+    :class:`EvaluationFailure`.
     """
     nodes = [cmath.exp(1j * (2.0 * math.pi * k / m)) for k in range(m)]
     z = s0 + rho * np.array(nodes)
     try:
         val = evaluator(z)
+    except ZetaSolveError:
+        raise
     except Exception as exc:  # noqa: BLE001 - reported as EvaluationFailure
         raise EvaluationFailure(
             f"evaluator failed on the contour |s - {s0}| = {rho}: {exc}") from exc
@@ -553,8 +553,7 @@ def funceq_residual_weighted(L, Q, B, s) -> FuncEqResidual:
     Bm = as_symmetric(B, Qf.n)
     n = Qf.n
     s = complex(s)
-    c = Qf.inv @ Bm @ Qf.inv
-    c = (c + c.T) / 2.0
+    c = _dual_weight(Qf, Bm)
     dual = dual_lattice(Lat)
     inv_f = Qf.inverse_form()
     norm = Lat.volume * Qf.sqrt_det

@@ -4,6 +4,7 @@ import math
 import mpmath as mp
 import pytest
 
+from zetasolve import cli
 from zetasolve.cli import _parse_quadrature, main
 
 
@@ -105,6 +106,23 @@ def test_residue_command(tmp_path, capsys):
     sources = {r["source"]: r for r in recs}
     assert sources["analytic"]["residue"] == pytest.approx(math.pi, rel=1e-12)
     assert sources["numeric"]["residue"] == pytest.approx(math.pi, abs=1e-8)
+
+
+@pytest.mark.parametrize("command", ["residue", "zeta"])
+def test_out_of_memory_exits_4(tmp_path, capsys, monkeypatch, command):
+    # on the contour the error is wrapped as EvaluationFailure; elsewhere
+    # main maps MemoryError itself
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "lattice_zeta", exhausted)
+    path = write(tmp_path, "in.json", {"Q": I2, "s": 3} if command == "zeta" else {"Q": I2})
+    code, out, err = run_cli(capsys, command, "-i", path)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("evaluation failed:")
+    if command == "zeta":
+        assert err == "evaluation failed: out of memory\n"
 
 
 def test_funceq_command(tmp_path, capsys):

@@ -4,7 +4,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from zetasolve.errors import DimensionMismatch, OutsideConvergence, TooCloseToPole
+from zetasolve.errors import (
+    DimensionMismatch,
+    EvaluationFailure,
+    OutsideConvergence,
+    TooCloseToPole,
+    TooManyPoints,
+)
 from zetasolve.quadforms import Lattice, cholesky, sym_outer
 from zetasolve.theta import enumerate_ellipsoid
 from zetasolve.zeta import (
@@ -207,6 +213,12 @@ def test_continued_batch_matches_single_points():
     for k, sk in enumerate(s):
         for j, one in enumerate(vector_zeta(a, [1.0, -2.0], sk + 1.0)):
             assert abs(vec[j].value[k] - one.value) <= vec[j].abs_error[k] + one.abs_error
+    b = np.array([[1.0, 0.5], [0.5, -2.0]])
+    wb = weighted_continued(q, b, s + 1.0)
+    assert wb.value.shape == wb.abs_error.shape == (4,)
+    for k, sk in enumerate(s):
+        one = weighted_continued(q, b, sk + 1.0)
+        assert abs(wb.value[k] - one.value) <= wb.abs_error[k] + one.abs_error
 
 
 def test_continued_rejects_bad_point_shapes():
@@ -221,6 +233,9 @@ def test_continued_rejects_bad_point_shapes():
 def test_weighted_zero_matrix():
     for s in (4.0, 0.3, -1.7):
         assert weighted_continued(I2, np.zeros((2, 2)), s).value == 0.0
+    zero = weighted_continued(I2, np.zeros((2, 2)), np.array([4.0, 0.3, -1.7]))
+    assert zero.value.shape == zero.abs_error.shape == (3,)
+    assert not zero.value.any() and not zero.abs_error.any()
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +362,19 @@ def test_residue_numeric_calls_evaluator_once():
     assert np.max(np.abs(rep.residue - [math.pi / 2.0, 0.0])) < 1e-8
     with pytest.raises(DimensionMismatch):
         residue_numeric(lambda s: np.ones(3), 1.0)
+
+
+def test_residue_numeric_keeps_package_errors():
+    def too_many(s):
+        raise TooManyPoints("enumeration over the cap")
+
+    def broken(s):
+        raise ValueError("not a package error")
+
+    with pytest.raises(TooManyPoints):
+        residue_numeric(too_many, 1.0)
+    with pytest.raises(EvaluationFailure):
+        residue_numeric(broken, 1.0)
 
 
 @pytest.mark.parametrize("a, b", [
