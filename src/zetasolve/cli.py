@@ -13,7 +13,8 @@ One entry point (``zetasolve``) with subcommands::
 
 All numerical configuration lives in the JSON input file; flags only select
 paths, output format, and the random seed.  Records are emitted on stdout
-(JSON lines or CSV), diagnostics on stderr.
+(JSON lines or CSV), diagnostics on stderr.  The points of one ``zeta``,
+``scan``, ``funceq`` or ``verify`` case request are evaluated as one batch.
 
 Exit codes: 0 ok; 2 validation error; 3 pole; 4 verification or tolerance
 failure, or an evaluation that failed or ran out of memory; 5 singular matrix.
@@ -56,6 +57,7 @@ from .solver import (
 )
 from .spherequad import QuadratureSpec
 from .theta import theta_star_gaussian, theta_star_weighted
+from .tolerances import POLE_EXCLUSION
 from .verify import run_default_suite
 from .zeta import (
     PoleReport,
@@ -192,6 +194,11 @@ class _Family:
     residue: Callable[[], PoleReport]  # closed-form residue at the pole
 
 
+def _lattice(data: dict, n: int) -> Lattice:
+    """The optional ``lattice`` operand; Z^n when it is absent."""
+    return Lattice(matrix_from_json(data["lattice"]) if "lattice" in data else np.eye(n))
+
+
 def _zeta_family(data: dict, command: str) -> _Family:
     """The family named by the operands: ``A, b`` for the vector zeta, else
     ``Q`` with an optional weight ``B`` and an optional ``lattice``."""
@@ -204,7 +211,7 @@ def _zeta_family(data: dict, command: str) -> _Family:
                        a.shape[0] / 2.0 + 1.0, lambda: residue_vector(a, b))
     q = matrix_from_json(_field(data, "Q", command))
     n = q.shape[0]
-    lat = Lattice(matrix_from_json(data["lattice"]) if "lattice" in data else np.eye(n))
+    lat = _lattice(data, n)
     if "B" in data:
         bmat = matrix_from_json(data["B"])
         return _Family("weighted", lambda s: lattice_weighted_zeta(lat, q, bmat, s),
@@ -238,8 +245,7 @@ def _funceq_request(data: dict, command: str):
         c = vector_from_json(_field(data, "c", command))
         return family, lambda s: funceq_residual_vector(a, b, c, s), points
     q = matrix_from_json(_field(data, "Q", command))
-    lat = (Lattice(matrix_from_json(data["lattice"]))
-           if "lattice" in data else Lattice(np.eye(q.shape[0])))
+    lat = _lattice(data, q.shape[0])
     if family == "weighted":
         bmat = matrix_from_json(_field(data, "B", command))
         return family, lambda s: funceq_residual_weighted(lat, q, bmat, s), points
@@ -307,17 +313,16 @@ def _cmd_zeta(args) -> int:
     data = _load_input(args.input)
     _check_keys(data, {"Q", "B", "lattice", "A", "b", "s", "s_list"}, "zeta")
     points = _one_or_list(data, "s", _parse_s)
-    family = _zeta_family(data, "zeta")
+    got = _zeta_family(data, "zeta").evaluate(np.array(points))
+    vector = isinstance(got, list)
     records = []
-    for s in points:
-        got = family.evaluate(s)
-        vector = isinstance(got, list)
+    for k, s in enumerate(points):
         for j, zv in enumerate(got if vector else [got]):
             rec = {"s": [s.real, s.imag]}
             if vector:
                 rec["component"] = j + 1
-            rec.update(value_re=zv.value.real, value_im=zv.value.imag,
-                       abs_error=zv.abs_error)
+            rec.update(value_re=zv.value[k].real, value_im=zv.value[k].imag,
+                       abs_error=zv.abs_error[k])
             records.append(rec)
     _emit_records(records, args.format, sys.stdout)
     return _EXIT_OK
@@ -367,15 +372,14 @@ def _cmd_funceq(args) -> int:
     data = _load_input(args.input)
     _check_keys(data, _FUNCEQ_FIELDS, "funceq")
     family, residual, points = _funceq_request(data, "funceq")
-    records = []
-    for s in points:
-        r = residual(s)
-        records.append({
-            "family": family, "s": [s.real, s.imag],
-            "lhs_re": r.lhs.real, "lhs_im": r.lhs.imag,
-            "rhs_re": r.rhs.real, "rhs_im": r.rhs.imag,
-            "residual": r.residual,
-        })
+    r = residual(np.array(points))
+    records = [{
+        "family": family, "s": [s.real, s.imag],
+        "lhs_re": lhs.real, "lhs_im": lhs.imag,
+        "rhs_re": rhs.real, "rhs_im": rhs.imag,
+        "residual": res,
+    } for s, lhs, rhs, res in zip(points, r.lhs.tolist(), r.rhs.tolist(),
+                                  r.residual.tolist())]
     _emit_records(records, args.format, sys.stdout)
     return _EXIT_OK
 
@@ -429,7 +433,7 @@ def _user_cases(cases, override: float | None) -> list[tuple[str, float, float]]
             dict(case, family=check.removeprefix("funceq_")), where)
         parsed.append((f"{check}[{idx}]", residual, points,
                        bound if override is None else override))
-    return [(name, max(float(residual(s).residual) for s in points), bound)
+    return [(name, float(residual(np.array(points)).residual.max()), bound)
             for name, residual, points, bound in parsed]
 
 
@@ -491,20 +495,19 @@ def _cmd_scan(args) -> int:
     end = _parse_s(_field(data, "s_end", "scan"))
     steps = _count(data.get("steps", 2), "steps", MAX_SCAN_STEPS)
 
+    fracs = [k / (steps - 1) for k in range(steps)] if steps > 1 else [0.0]
+    points = np.array([start + frac * (end - start) for frac in fracs])
+    # the evaluators' own pole test flags a row; the other rows are one batch
+    near = np.abs(points - family.pole) <= POLE_EXCLUSION
+    cells = np.full(steps, ",,,1", dtype=object)
+    if not near.all():
+        zv = family.evaluate(points[~near])
+        cells[~near] = [f"{_fmt(v.real)},{_fmt(v.imag)},{_fmt(e)},0"
+                        for v, e in zip(zv.value.tolist(), zv.abs_error.tolist())]
     out = sys.stdout
     out.write("re_s,im_s,re_zeta,im_zeta,abs_err,flag\n")
-    for k in range(steps):
-        frac = k / (steps - 1) if steps > 1 else 0.0
-        s = start + frac * (end - start)
-        try:
-            zv = family.evaluate(s)
-        except _POLE_ERRORS:
-            out.write(f"{_fmt(s.real)},{_fmt(s.imag)},,,,1\n")
-            continue
-        out.write(
-            f"{_fmt(s.real)},{_fmt(s.imag)},{_fmt(zv.value.real)},"
-            f"{_fmt(zv.value.imag)},{_fmt(zv.abs_error)},0\n"
-        )
+    for s, cell in zip(points.tolist(), cells):
+        out.write(f"{_fmt(s.real)},{_fmt(s.imag)},{cell}\n")
     return _EXIT_OK
 
 

@@ -122,41 +122,30 @@ def _residue_vector_numeric() -> float:
 
 
 def _funceq_lattice() -> float:
-    worst = 0.0
-    grid = (0.5, 0.7 + 0.3j, 0.8, 0.4 - 0.2j, 0.63 + 0.11j)
-    for q in _FORMS:
-        lat = Lattice(np.eye(q.shape[0]))
-        for s in grid:
-            worst = max(worst, funceq_residual_lattice(lat, q, s).residual)
-    worst = max(worst, funceq_residual_lattice(
+    grid = np.array([0.5, 0.7 + 0.3j, 0.8, 0.4 - 0.2j, 0.63 + 0.11j])
+    worst = max(funceq_residual_lattice(Lattice(np.eye(q.shape[0])), q, grid).residual.max()
+                for q in _FORMS)
+    return max(worst, funceq_residual_lattice(
         Lattice(np.diag([2.0, 3.0])), np.eye(2), 0.8).residual)
-    return worst
 
 
 def _funceq_weighted() -> float:
-    worst = 0.0
-    grid = (0.6, 0.75, 0.4 + 0.2j, 0.9 - 0.15j, 0.55 + 0.05j)
-    for q in _FORMS:
-        lat = Lattice(np.eye(q.shape[0]))
-        for s in grid:
-            worst = max(worst, funceq_residual_weighted(lat, q, q, s).residual)
-    worst = max(worst, funceq_residual_weighted(
+    grid = np.array([0.6, 0.75, 0.4 + 0.2j, 0.9 - 0.15j, 0.55 + 0.05j])
+    worst = max(funceq_residual_weighted(Lattice(np.eye(q.shape[0])), q, q, grid).residual.max()
+                for q in _FORMS)
+    return max(worst, funceq_residual_weighted(
         Lattice(np.eye(2)), np.eye(2), np.array([[1.0, 1.0], [1.0, 1.0]]), 0.75
     ).residual)
-    return worst
 
 
 def _funceq_vector() -> float:
-    worst = 0.0
     cases = [
         (np.eye(2), [1.0, 0.0], [1.0, 0.0]),
         (np.array([[2.0, 1.0], [1.0, 3.0]]), [1.0, 0.0], [0.0, 1.0]),
         (np.diag([2.0, 3.0]), [2.0, 3.0], [1.0, 1.0]),
     ]
-    for a, b, c in cases:
-        for s in (0.6, 0.7 + 0.2j, 0.85):
-            worst = max(worst, funceq_residual_vector(a, b, c, s).residual)
-    return worst
+    grid = np.array([0.6, 0.7 + 0.2j, 0.85])
+    return max(funceq_residual_vector(a, b, c, grid).residual.max() for a, b, c in cases)
 
 
 def _integral_identity_n2() -> float:

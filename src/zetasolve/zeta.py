@@ -39,8 +39,10 @@ needs; every point gets its own tail bound at that radius and its own
 compensated sum, so a result does not depend on the rest of its batch
 beyond the extra (bounded) terms summed.  The incomplete gammas of a batch
 are one :func:`~zetasolve.specfun.upper_incomplete_gamma_many` call per
-side.  Values that overflow the double range raise
-:class:`~zetasolve.errors.EvaluationFailure`.
+side and window of ``_KERNEL_PAIRS`` (point, shell) pairs, so memory does
+not grow with the batch.  Values that overflow the double range raise
+:class:`~zetasolve.errors.EvaluationFailure`.  The ``funceq_residual_*`` take
+points the same way, with one evaluator call per zeta term for the batch.
 
 The vector-valued zeta of an invertible matrix A and vector b,
 
@@ -100,6 +102,9 @@ from .tolerances import (
 
 _LOG_PI = math.log(math.pi)
 _DIRECT_CAP = 40_000_000
+# (point, shell) pairs per incomplete-gamma call; its work arrays take about
+# 250 bytes a pair, so a window peaks near 65 MB
+_KERNEL_PAIRS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -124,12 +129,16 @@ class PoleReport:
 
 @dataclass(frozen=True)
 class FuncEqResidual:
-    """Two sides of a functional equation evaluated at one point."""
+    """Two sides of a functional equation and ``|lhs - rhs|``.
 
-    s: complex
-    lhs: complex
-    rhs: complex
-    residual: float
+    For an array of points every field is an array of the same shape; a
+    single number gives ``complex`` sides and a ``float`` residual.
+    """
+
+    s: complex | np.ndarray
+    lhs: complex | np.ndarray
+    rhs: complex | np.ndarray
+    residual: float | np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +151,11 @@ def _as_lattice(L) -> Lattice:
 
 def _csum(values: np.ndarray) -> complex:
     return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
+
+
+def _each(fn, s: np.ndarray) -> np.ndarray:
+    """``fn`` of every point of ``s``, as a complex array."""
+    return np.array([fn(z) for z in s.tolist()], dtype=complex)
 
 
 def _pi_pow(s: complex) -> complex:
@@ -178,15 +192,11 @@ def _split_radius(form: SPDForm, sigma: float, coef: float) -> float:
     return float(math.ceil(R))
 
 
-def _unique_gamma_terms(ep, a: np.ndarray):
-    """Values of ``(pi q)^-a Gamma(a, pi q)`` per point of ``a`` (rows) and
-    unique q (columns), plus the shell index of every enumerated point."""
-    uq, inv_idx = np.unique(ep.qvals, return_inverse=True)
-    x = math.pi * uq
+def _gamma_terms(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Values of ``x^-a Gamma(a, x)`` per point of ``a`` (rows) and ``x``."""
     gam = upper_incomplete_gamma_many(a, x)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.exp(-a[:, None] * np.log(x)) * gam
-    return inv_idx, vals
+        return np.exp(-a[:, None] * np.log(x)) * gam
 
 
 def _half_sum(form: SPDForm, a: np.ndarray, weights: list[np.ndarray] | None = None):
@@ -205,15 +215,17 @@ def _half_sum(form: SPDForm, a: np.ndarray, weights: list[np.ndarray] | None = N
     tails = np.array([_split_tail_bound(form, sigma, R, coef) for sigma in sigmas])
     sums = np.zeros((a.size, 1 if weights is None else len(weights)), dtype=complex)
     if len(ep) > 0:
-        inv_idx, vals = _unique_gamma_terms(ep, a)
+        uq, inv_idx = np.unique(ep.qvals, return_inverse=True)
         if weights is None:
-            mult = [np.bincount(inv_idx, minlength=vals.shape[1]).astype(float)]
+            mult = [np.bincount(inv_idx, minlength=uq.size).astype(float)]
         else:
             mult = [np.bincount(inv_idx, weights=qeval_many(W, ep.points),
-                                minlength=vals.shape[1]) for W in weights]
-        for i, row in enumerate(vals):
-            for j, w in enumerate(mult):
-                sums[i, j] = _csum(w * row)
+                                minlength=uq.size) for W in weights]
+        window = max(1, _KERNEL_PAIRS // uq.size)
+        for lo in range(0, a.size, window):
+            for i, row in enumerate(_gamma_terms(math.pi * uq, a[lo:lo + window]), lo):
+                for j, w in enumerate(mult):
+                    sums[i, j] = _csum(w * row)
     return (sums[:, 0] if weights is None else sums), tails
 
 
@@ -365,14 +377,13 @@ def _continued(Qf: SPDForm, s: np.ndarray, single: bool, mats=None):
         S, tail = _half_sum(form, a, weights)
         bracket = bracket + coef * (S if weights else S[:, None])
         bar = bar + np.abs(coef) * tail[:, None]
-    pis = np.array([_pi_pow(z) for z in s.tolist()], dtype=complex)[:, None]
-    rg = np.array([reciprocal_gamma(z) for z in s.tolist()], dtype=complex)[:, None]
+    pis = _each(_pi_pow, s)[:, None]
+    rg = _each(reciprocal_gamma, s)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # _rescaled checks the result
         bracket = bracket + sides[-1][3] / (s - pole)[:, None]
         value = rg * bracket
         if epstein:
-            value = value - np.array([reciprocal_gamma(z + 1.0) for z in s.tolist()],
-                                     dtype=complex)[:, None]
+            value = value - _each(reciprocal_gamma, s + 1.0)[:, None]
         value = pis * value
         err = np.abs(pis) * np.abs(rg) * bar
         err += 1e-15 * (1.0 + np.abs(value))
@@ -522,26 +533,32 @@ def residue_numeric(evaluator, s0: float, rho: float = RESIDUE_RHO,
 # functional equations
 # ---------------------------------------------------------------------------
 
+def _funceq(s: np.ndarray, single: bool, lhs: np.ndarray, rhs: np.ndarray) -> FuncEqResidual:
+    residual = np.abs(lhs - rhs)
+    if single:
+        return FuncEqResidual(complex(s[0]), complex(lhs[0]), complex(rhs[0]), float(residual[0]))
+    return FuncEqResidual(s, lhs, rhs, residual)
+
+
 def funceq_residual_lattice(L, Q, s) -> FuncEqResidual:
-    """Defect of the lattice functional equation at ``s``.
+    """Defect of the lattice functional equation at ``s``, a number or 1-D array.
 
     lhs = pi^-(n/2-s) Gamma(n/2-s) zeta_L(q_Q, n/2-s),
     rhs = pi^-s Gamma(s) zeta_L'(q_{Q^-1}, s) / (|L| sqrt(det Q)).
     """
     Lat = _as_lattice(L)
     Qf = cholesky(Q)
-    n = Qf.n
-    s = complex(s)
-    lhs = (_pi_pow(-(n / 2.0 - s)) * gamma_complex(n / 2.0 - s)
-           * lattice_zeta(Lat, Qf, n / 2.0 - s).value)
-    rhs = (_pi_pow(-s) * gamma_complex(s)
+    s, single = _points(s)
+    t = Qf.n / 2.0 - s
+    lhs = _each(_pi_pow, -t) * _each(gamma_complex, t) * lattice_zeta(Lat, Qf, t).value
+    rhs = (_each(_pi_pow, -s) * _each(gamma_complex, s)
            * lattice_zeta(dual_lattice(Lat), Qf.inverse_form(), s).value
            / (Lat.volume * Qf.sqrt_det))
-    return FuncEqResidual(s=s, lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
+    return _funceq(s, single, lhs, rhs)
 
 
 def funceq_residual_weighted(L, Q, B, s) -> FuncEqResidual:
-    """Defect of the weighted functional equation at ``s``.
+    """Defect of the weighted functional equation at ``s``, a number or 1-D array.
 
     lhs = pi^-(n/2-s) Gamma(n/2+1-s) zeta_L(q_Q, q_B, n/2+1-s)
           + pi^-s Gamma(s+1) zeta_L'(q_{Q^-1}, q_C, s+1) / (|L| sqrt(det Q)),
@@ -551,47 +568,33 @@ def funceq_residual_weighted(L, Q, B, s) -> FuncEqResidual:
     Lat = _as_lattice(L)
     Qf = cholesky(Q)
     Bm = as_symmetric(B, Qf.n)
-    n = Qf.n
-    s = complex(s)
-    c = _dual_weight(Qf, Bm)
+    s, single = _points(s)
     dual = dual_lattice(Lat)
     inv_f = Qf.inverse_form()
     norm = Lat.volume * Qf.sqrt_det
-    lhs = (_pi_pow(-(n / 2.0 - s)) * gamma_complex(n / 2.0 + 1.0 - s)
-           * lattice_weighted_zeta(Lat, Qf, Bm, n / 2.0 + 1.0 - s).value)
-    lhs += (_pi_pow(-s) * gamma_complex(s + 1.0)
-            * lattice_weighted_zeta(dual, inv_f, c, s + 1.0).value / norm)
-    rhs = (trace_product(Qf, Bm) / (2.0 * norm) * _pi_pow(-s) * gamma_complex(s)
+    t = Qf.n / 2.0 + 1.0 - s
+    pis = _each(_pi_pow, -s)
+    lhs = (_each(_pi_pow, -(Qf.n / 2.0 - s)) * _each(gamma_complex, t)
+           * lattice_weighted_zeta(Lat, Qf, Bm, t).value)
+    lhs = lhs + (pis * _each(gamma_complex, s + 1.0)
+                 * lattice_weighted_zeta(dual, inv_f, _dual_weight(Qf, Bm), s + 1.0).value
+                 / norm)
+    rhs = (trace_product(Qf, Bm) / (2.0 * norm) * pis * _each(gamma_complex, s)
            * lattice_zeta(dual, inv_f, s).value)
-    return FuncEqResidual(s=s, lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
+    return _funceq(s, single, lhs, rhs)
 
 
 def funceq_residual_vector(A, b, c, s) -> FuncEqResidual:
-    """Defect of the vector functional equation at ``s``.
+    """Defect of the vector functional equation at ``s``, a number or 1-D array.
 
     lhs = pi^-(n/2-s) Gamma(n/2+1-s) <zeta(A, b, n/2+1-s), A c>
           + pi^-s Gamma(s+1) <A'b, zeta(A', c, s+1)> / |det A|,
     rhs = <b, c> pi^-s Gamma(s) zeta(A', s) / (2 |det A|),
-    where A' is the inverse transpose.
+    where A' is the inverse transpose.  It is the weighted equation on A Z^n
+    with Q = I and B = sym_outer(A'b, A c), for which C = B and Tr B = <b, c>.
     """
-    Am = as_square(A)
-    n = Am.shape[0]
-    bv = as_vector(b, n)
-    cv = as_vector(c, n)
-    det = checked_det(Am, "functional equation needs an invertible matrix")
-    s = complex(s)
-    a_dual = np.linalg.inv(Am.T)
-    db = a_dual @ bv
-    ac = Am @ cv
-    lat = Lattice(Am)
-    lat_dual = Lattice(a_dual)
-    eye = np.eye(n)
-    weight = sym_outer(db, ac)
-    lhs = (_pi_pow(-(n / 2.0 - s)) * gamma_complex(n / 2.0 + 1.0 - s)
-           * lattice_weighted_zeta(lat, eye, weight, n / 2.0 + 1.0 - s).value)
-    lhs += (_pi_pow(-s) * gamma_complex(s + 1.0)
-            * lattice_weighted_zeta(lat_dual, eye, sym_outer(ac, db), s + 1.0).value
-            / abs(det))
-    rhs = (float(bv @ cv) / (2.0 * abs(det)) * _pi_pow(-s) * gamma_complex(s)
-           * lattice_zeta(lat_dual, eye, s).value)
-    return FuncEqResidual(s=s, lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
+    lat = Lattice(A)
+    bv = as_vector(b, lat.n)
+    cv = as_vector(c, lat.n)
+    return funceq_residual_weighted(
+        lat, np.eye(lat.n), sym_outer(lat.dual_gen @ bv, lat.gen @ cv), s)

@@ -204,6 +204,30 @@ def test_scan_single_step_matches_zeta(tmp_path, capsys):
     _, out2, _ = run_cli(capsys, "zeta", "-i", path2)
     rec = json.loads(out2.strip())
     assert float(row[2]) == pytest.approx(rec["value_re"], rel=1e-15)
+    # several steps: the scan and a zeta s_list of its points are one batch each
+    path = write(tmp_path, "in3.json",
+                 {"Q": {"n": 2, "rows": [[1.0, 0.0], [0.0, 4.0]]},
+                  "s_start": [0.3, -1.0], "s_end": [3.5, 2.0], "steps": 4})
+    code, out, _ = run_cli(capsys, "scan", "-i", path)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 4 and all(r[5] == "0" for r in rows)
+    path2 = write(tmp_path, "in4.json",
+                  {"Q": {"n": 2, "rows": [[1.0, 0.0], [0.0, 4.0]]},
+                   "s_list": [[float(r[0]), float(r[1])] for r in rows]})
+    code, out2, _ = run_cli(capsys, "zeta", "-i", path2)
+    assert code == 0
+    recs = [json.loads(line) for line in out2.strip().splitlines()]
+    for r, rec in zip(rows, recs):
+        assert [float(x) for x in r[:5]] == [*rec["s"], rec["value_re"], rec["value_im"],
+                                             rec["abs_error"]]
+
+
+def test_scan_all_points_at_pole(tmp_path, capsys):
+    path = write(tmp_path, "in.json", {"Q": I2, "s_start": 1, "s_end": 1, "steps": 3})
+    code, out, _ = run_cli(capsys, "scan", "-i", path)
+    assert code == 0
+    assert out.splitlines()[1:] == ["1,0,,,,1"] * 3
 
 
 def test_scan_bad_range(tmp_path, capsys):

@@ -433,6 +433,29 @@ def test_funceq_grid_all_families():
             assert funceq_residual_weighted(lat, q, q, s).residual < 1e-8
 
 
+def test_funceq_residual_batch_matches_single_points():
+    # one batch enumerates at the largest radius its points need, so its
+    # sides agree with one-point calls to rounding, not bitwise
+    s = np.array([0.6, 0.7 + 0.25j, 0.4 - 0.1j, 0.55 + 2.0j])
+    q = np.array([[2.0, 1.0], [1.0, 3.0]])
+    lat = Lattice(np.diag([2.0, 3.0]))
+    families = [
+        lambda x: funceq_residual_lattice(lat, q, x),
+        lambda x: funceq_residual_weighted(lat, q, np.array([[1.0, 0.5], [0.5, -2.0]]), x),
+        lambda x: funceq_residual_vector(q, [1.0, -2.0], [0.5, 1.0], x),
+    ]
+    for residual in families:
+        batch = residual(s)
+        for field in (batch.s, batch.lhs, batch.rhs, batch.residual):
+            assert np.shape(field) == (4,)
+        for k, sk in enumerate(s):
+            one = residual(sk)
+            assert isinstance(one.lhs, complex) and isinstance(one.rhs, complex)
+            assert isinstance(one.residual, float)
+            assert abs(batch.lhs[k] - one.lhs) <= 1e-12 * abs(one.lhs)
+            assert abs(batch.rhs[k] - one.rhs) <= 1e-12 * abs(one.rhs)
+
+
 # ---------------------------------------------------------------------------
 # gamma-factor bookkeeping
 # ---------------------------------------------------------------------------
